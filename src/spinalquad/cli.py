@@ -22,10 +22,10 @@ from .coloring import (
     parse_vertex_coloring,
     verify_proper_faces,
 )
-from .embed import default_rotations, parse_quad, permute_rotations, quadrangulate
-from .embed import format_quad
+from .embed import default_rotations, format_quad, parse_quad, permute_rotations, quadrangulate
 from .families import (
     SpineRecipe,
+    complete_minus_clique,
     min_quad_vertices,
     minimality_report,
     spine_for,
@@ -35,9 +35,8 @@ from .homology import betti_numbers, from_graph, parse_complex
 from .interlace import format_twin_edge_list, interlace
 from .verify import (
     VerificationError,
-    check_duality_formula,
+    _duality_report,
     check_thickening_identities,
-    thickening_report,
     verify_surface,
 )
 
@@ -108,11 +107,10 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 
 def _cmd_thicken(args: argparse.Namespace) -> int:
     spine = parse_edge_list(_read(args.infile))
-    comp, hand = thickening_report(spine)
     identities = check_thickening_identities(spine)
-    duality = check_duality_formula(spine)
+    duality = _duality_report(identities.comp, identities.hand, identities.betti)
     sys.stdout.write(
-        f"comp={comp} hand={hand} "
+        f"comp={identities.comp} hand={identities.hand} "
         f"identity_check={_fmt_bool(identities.ok)} "
         f"duality_check={_fmt_bool(duality.ok)}\n"
     )
@@ -150,8 +148,6 @@ def _cmd_family(args: argparse.Namespace) -> int:
         f"minimal={_fmt_bool(cert.minimal)}\n"
     )
     if args.emit_spine is not None:
-        from .families import complete_minus_clique
-
         _emit(format_edge_list(complete_minus_clique(args.n, args.m)), args.emit_spine)
     return 0
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, ParseError, _strip_comment
+from .graph import Graph, ParseError, _strip_comment, components
 from .interlace import (
     Interlacement,
     TwinVertex,
@@ -91,8 +91,6 @@ class QuadEmbedding:
         return self.interlacement.spine
 
     def spine_components(self) -> list[tuple[int, ...]]:
-        from .graph import components
-
         return components(self.spine)
 
 

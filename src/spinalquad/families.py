@@ -11,10 +11,12 @@ pendant vertices to pad the count without touching either invariant.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .graph import Graph, cycle_rank
+from .verify import VerificationError
 
 
 class RecipeError(ValueError):
@@ -140,10 +142,14 @@ def min_quad_vertices(genus: int) -> int:
     """
     if genus < 1:
         raise RecipeError(f"vertex floor needs genus >= 1, got {genus}")
-    v = 1
-    while v * v - 5 * v + 8 - 8 * genus < 0:
-        v += 1
-    return v
+    # The larger root is (5 + sqrt(32*genus - 7)) / 2 and the smaller
+    # one is at most 0, so V is the least integer with 2V - 5 >= t,
+    # where t is the ceiling of that square root.
+    d = 32 * genus - 7
+    t = math.isqrt(d)
+    if t * t < d:
+        t += 1
+    return (t + 6) // 2
 
 
 @dataclass(frozen=True)
@@ -176,9 +182,15 @@ def minimality_report(n: int, m: int) -> MinimalityCertificate:
     """
     spine = complete_minus_clique(n, m)
     genus = cycle_rank(spine)
-    assert 2 * genus == (n - 1) * (n - 2) - m * (m - 1)
+    if 2 * genus != (n - 1) * (n - 2) - m * (m - 1):
+        raise VerificationError(
+            f"K_{n} minus a {m}-clique: cycle rank {genus} breaks the closed form"
+        )
     # Same identity, shifted into the form the floor comparison uses.
-    assert 32 * genus - 7 == 16 * n * n - 48 * n + 25 - 16 * m * m + 16 * m
+    if 32 * genus - 7 != 16 * n * n - 48 * n + 25 - 16 * m * m + 16 * m:
+        raise VerificationError(
+            f"K_{n} minus a {m}-clique: genus {genus} breaks the floor identity"
+        )
     if genus < 1:
         raise RecipeError(
             f"quadrangulation of K_{n} minus a {m}-clique has genus {genus}; "
@@ -188,8 +200,11 @@ def minimality_report(n: int, m: int) -> MinimalityCertificate:
     quad_vertices = 2 * n
     sufficient = n >= 4 + 2 * m * (m - 1)
     minimal = quad_vertices == bound
-    if sufficient:
-        assert minimal
+    if sufficient and not minimal:
+        raise VerificationError(
+            f"K_{n} minus a {m}-clique meets n >= 4 + 2m(m-1) but has "
+            f"{quad_vertices} quad vertices against the floor {bound}"
+        )
     return MinimalityCertificate(
         n=n,
         m=m,

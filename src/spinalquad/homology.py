@@ -1,10 +1,13 @@
 """Exact rational Betti numbers of simplicial complexes of dimension <= 2.
 
 Complexes are abstract and downward-closed. Ranks of the boundary
-operators are computed by fraction-free elimination over arbitrary
-precision integers, so every reported number is exact; no floating
-point is involved anywhere. Torsion is deliberately ignored: only the
-rational Betti numbers are reported.
+operators are computed by sparse elimination over arbitrary precision
+integers: rows are kept as dicts, and pivots of value +1 or -1 are
+taken first, so every update stays an exact integer. Only the block
+left without a unit entry goes to dense fraction-free (Bareiss)
+elimination. Every reported number is exact; no floating point is
+involved anywhere. Torsion is deliberately ignored: only the rational
+Betti numbers are reported.
 
 Orientation convention: listing a simplex's vertices in ascending
 order defines its positive orientation, and boundary signs alternate
@@ -14,6 +17,7 @@ tuple, which makes every matrix, rank, and Betti vector reproducible.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, NamedTuple
 
 from .graph import Graph, ParseError, _strip_comment
@@ -134,12 +138,14 @@ def matrix_rank_exact(rows: list[list[int]]) -> int:
     return rank
 
 
-def boundary_matrix(k: int, complex: SimplicialComplex) -> list[list[int]]:
-    """Integer matrix of the k-th boundary operator, k in {1, 2}.
+def _boundary_rows(k: int, complex: SimplicialComplex) -> tuple[list[dict[int, int]], int]:
+    """Sparse rows of the k-th boundary operator, k in {1, 2}, and its
+    column count.
 
     Rows are indexed by the (k-1)-simplices and columns by the
-    k-simplices, both in sorted-tuple order. The boundary of an
-    ascending simplex drops its i-th vertex with sign (-1)^i.
+    k-simplices, both in sorted-tuple order; each row maps a column to
+    its nonzero entry. The boundary of an ascending simplex drops its
+    i-th vertex with sign (-1)^i.
     """
     if k == 1:
         row_index = {(v,): i for i, v in enumerate(complex.vertices)}
@@ -149,17 +155,95 @@ def boundary_matrix(k: int, complex: SimplicialComplex) -> list[list[int]]:
         cols = complex.triangles
     else:
         raise ValueError(f"boundary operator index must be 1 or 2, got {k}")
-    matrix = [[0] * len(cols) for _ in row_index]
+    rows: list[dict[int, int]] = [{} for _ in row_index]
     for j, simplex in enumerate(cols):
         for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1 :]
-            matrix[row_index[face]][j] += (-1) ** i
+            rows[row_index[simplex[:i] + simplex[i + 1 :]]][j] = -1 if i % 2 else 1
+    return rows, len(cols)
+
+
+def boundary_matrix(k: int, complex: SimplicialComplex) -> list[list[int]]:
+    """Dense integer matrix of the k-th boundary operator, k in {1, 2},
+    laid out as in ``_boundary_rows``."""
+    rows, ncols = _boundary_rows(k, complex)
+    matrix = [[0] * ncols for _ in rows]
+    for dense, row in zip(matrix, rows):
+        for j, x in row.items():
+            dense[j] = x
     return matrix
+
+
+def _sparse_rank(rows: list[dict[int, int]]) -> int:
+    """Rank over the rationals of a sparse integer matrix.
+
+    Each row maps a column to a nonzero integer; the rows are consumed.
+    While some row holds a +1 or -1 entry, the shortest such row is the
+    pivot row, and among its unit entries the one whose column meets
+    the fewest rows is the pivot (least fill). Clearing that column
+    from the other rows multiplies by the pivot, its own inverse, so
+    every entry stays an exact integer. The rows left without a unit
+    entry are compressed to a dense block ranked by
+    ``matrix_rank_exact``.
+    """
+    live = {i: row for i, row in enumerate(rows) if row}
+    col_rows: dict[int, set[int]] = {}
+    for i, row in live.items():
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+    # Lazy heap of (row length, row id), pushed again whenever a row
+    # changes, so every live row has an entry of its current length. A
+    # popped entry whose row is gone, has another length or holds no
+    # unit is skipped; no pivot search rescans the matrix.
+    heap = [(len(row), i) for i, row in live.items()]
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        length, r = heapq.heappop(heap)
+        pivot_row = live.get(r)
+        if pivot_row is None or len(pivot_row) != length:
+            continue
+        units = [j for j, x in pivot_row.items() if x == 1 or x == -1]
+        if not units:
+            continue
+        c = min(units, key=lambda j: (len(col_rows[j]), j))
+        p = pivot_row[c]
+        del live[r]
+        for j in pivot_row:
+            col_rows[j].discard(r)
+        for i in col_rows.pop(c):
+            row = live[i]
+            factor = row.pop(c) * p
+            for j, x in pivot_row.items():
+                if j == c:
+                    continue
+                y = row.get(j, 0) - factor * x
+                if y:
+                    if j not in row:
+                        col_rows[j].add(i)
+                    row[j] = y
+                elif j in row:
+                    del row[j]
+                    col_rows[j].discard(i)
+            if row:
+                heapq.heappush(heap, (len(row), i))
+            else:
+                del live[i]
+        rank += 1
+    if not live:
+        return rank
+    index = {j: n for n, j in enumerate(sorted({j for row in live.values() for j in row}))}
+    block = []
+    for row in live.values():
+        dense = [0] * len(index)
+        for j, x in row.items():
+            dense[index[j]] = x
+        block.append(dense)
+    return rank + matrix_rank_exact(block)
 
 
 def boundary_rank(k: int, complex: SimplicialComplex) -> int:
     """Exact rank of the k-th boundary operator over the rationals."""
-    return matrix_rank_exact(boundary_matrix(k, complex))
+    return _sparse_rank(_boundary_rows(k, complex)[0])
 
 
 def betti_numbers(complex: SimplicialComplex) -> BettiVector:

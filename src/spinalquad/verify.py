@@ -37,7 +37,7 @@ from .homology import BettiVector, betti_numbers, from_graph
 
 
 class VerificationError(RuntimeError):
-    """A constructed embedding failed its own certification."""
+    """A constructed embedding or certificate failed its own check."""
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,12 @@ def check_duality_formula(spine: Graph) -> DualityReport:
     equal (b0 + b2, b1 + b1, b2 + b0) of the spine.
     """
     comp, hand = thickening_report(spine)
-    b = betti_numbers(from_graph(spine))
+    return _duality_report(comp, hand, betti_numbers(from_graph(spine)))
+
+
+def _duality_report(comp: int, hand: int, b: BettiVector) -> DualityReport:
+    """Compare the surface vector (comp, 2 * hand, comp) with the
+    folded spine vector (b0 + b2, b1 + b1, b2 + b0)."""
     surface = BettiVector(b0=comp, b1=2 * hand, b2=comp)
     expected = BettiVector(b0=b.b0 + b.b2, b1=2 * b.b1, b2=b.b2 + b.b0)
     return DualityReport(ok=(surface == expected), surface_betti=surface, expected=expected)

@@ -14,6 +14,8 @@ from spinalquad import (
     parse_vertex_coloring,
     verify_surface,
 )
+import spinalquad.cli as cli_module
+import spinalquad.verify as verify_module
 from spinalquad.cli import run
 
 K3 = "0 1\n1 2\n0 2\n"
@@ -101,6 +103,43 @@ def test_thicken_reports_counts_and_verdicts(k3_file, capsys):
     assert run(["thicken", "--in", str(k3_file)]) == 0
     out = capsys.readouterr().out
     assert out == "comp=1 hand=1 identity_check=true duality_check=true\n"
+
+
+# Stdout of the original thicken, which ran the surface and homology
+# checks three and two times over; computing each fact once must not
+# change a byte.
+THICKEN_SEED_OUTPUT = [
+    ("0 1\n1 2\n0 2\n", "comp=1 hand=1 identity_check=true duality_check=true\n"),
+    (
+        "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+        "comp=1 hand=3 identity_check=true duality_check=true\n",
+    ),
+    (
+        "0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n",
+        "comp=2 hand=2 identity_check=true duality_check=true\n",
+    ),
+    ("0 1\n1 2\n2 3\n", "comp=1 hand=0 identity_check=true duality_check=true\n"),
+]
+
+
+@pytest.mark.parametrize("edges, expected", THICKEN_SEED_OUTPUT)
+def test_thicken_computes_each_fact_once(tmp_path, capsys, monkeypatch, edges, expected):
+    calls = {"quadrangulate": 0, "verify_surface": 0, "betti_numbers": 0}
+    for name in calls:
+        original = getattr(verify_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (verify_module, cli_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    path = tmp_path / "spine.edges"
+    path.write_text(edges)
+    assert run(["thicken", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+    assert calls == {"quadrangulate": 1, "verify_surface": 1, "betti_numbers": 1}
 
 
 def test_chroma_reports_exact_number_with_witness(k3_file, capsys):

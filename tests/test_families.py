@@ -6,6 +6,7 @@ from spinalquad import (
     Graph,
     RecipeError,
     SpineRecipe,
+    VerificationError,
     chromatic_number_exact,
     complete_graph,
     complete_minus_clique,
@@ -18,6 +19,7 @@ from spinalquad import (
     random_tree,
     spine_for,
 )
+from spinalquad import families
 
 
 def test_complete_graph_shape():
@@ -129,6 +131,25 @@ def test_vertex_floor_is_least_solution_and_matches_ceiling_formula():
         assert v * v - 5 * v + 8 - 8 * genus >= 0
         assert (v - 1) ** 2 - 5 * (v - 1) + 8 - 8 * genus < 0
         assert v == math.ceil((5 + math.sqrt(32 * genus - 7)) / 2)
+
+
+def test_vertex_floor_matches_linear_search():
+    v = 1
+    for genus in range(1, 2001):
+        while v * v - 5 * v + 8 - 8 * genus < 0:
+            v += 1
+        assert min_quad_vertices(genus) == v
+
+
+def test_minimality_checks_raise_without_assert(monkeypatch):
+    # A wrong genus or a wrong floor must raise under python -O too.
+    monkeypatch.setattr(families, "cycle_rank", lambda g: 0)
+    with pytest.raises(VerificationError, match="closed form"):
+        minimality_report(8, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(families, "min_quad_vertices", lambda genus: 2)
+    with pytest.raises(VerificationError, match="floor 2"):
+        minimality_report(8, 2)
 
 
 def test_vertex_floor_monotone():

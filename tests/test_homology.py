@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinalquad import (
     BettiVector,
@@ -18,8 +20,14 @@ from spinalquad import (
     matrix_rank_exact,
     parse_complex,
 )
+from spinalquad import homology
+from spinalquad.homology import _sparse_rank
 
 from helpers import random_two_complex, rank_by_fractions
+
+
+def sparse(rows: list[list[int]]) -> list[dict[int, int]]:
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def test_complex_closes_downward():
@@ -180,3 +188,76 @@ def test_format_complex_emits_maximal_simplices_only():
 def test_parse_complex_rejects_malformed_lines(text):
     with pytest.raises(ParseError):
         parse_complex(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=cols, max_size=cols),
+            max_size=7,
+        )
+    )
+)
+def test_sparse_rank_matches_both_oracles(rows):
+    # Entries outside +-1 leave blocks with no unit pivot, so the
+    # dense fallback runs on part of the sample.
+    expected = rank_by_fractions(rows)
+    assert matrix_rank_exact(rows) == expected
+    assert _sparse_rank(sparse(rows)) == expected
+
+
+def test_sparse_rank_edge_cases():
+    assert _sparse_rank([]) == 0
+    assert _sparse_rank([{}, {}]) == 0
+    assert _sparse_rank(sparse([[2, 4], [1, 2]])) == 1
+    assert _sparse_rank(sparse([[2, 3], [4, 5]])) == 2
+    assert _sparse_rank(sparse([[10**30, 1], [10**30, 1], [0, 10**30]])) == 2
+
+
+def test_boundary_rank_matches_dense_rank_on_random_complexes():
+    for seed in range(40):
+        sc = random_two_complex(seed, max_vertices=12)
+        for k in (1, 2):
+            assert boundary_rank(k, sc) == matrix_rank_exact(boundary_matrix(k, sc))
+
+
+# Six-vertex real projective plane: the antipodal quotient of the
+# icosahedron. Its integral H1 is Z/2, so over the rationals it is
+# acyclic, and eliminating unit pivots from the triangle boundary
+# leaves a 2 behind.
+RP2 = SimplicialComplex(
+    triangles=[
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+        (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+    ]
+)
+
+
+def test_projective_plane_takes_the_non_unit_fallback(monkeypatch):
+    blocks = []
+
+    def recording_rank(rows):
+        blocks.append([row[:] for row in rows])
+        return matrix_rank_exact(rows)
+
+    monkeypatch.setattr(homology, "matrix_rank_exact", recording_rank)
+    assert len(RP2.vertices) == 6 and len(RP2.edges) == 15
+    assert betti_numbers(RP2) == BettiVector(1, 0, 0)
+    assert boundary_rank(2, RP2) == 10
+    assert any(x not in (0, 1, -1) for block in blocks for row in block for x in row)
+
+
+@pytest.mark.parametrize(
+    "n, m, seed", [(10, 40, 1), (100, 400, 2), (1000, 4000, 3), (2000, 1200, 5), (5000, 20000, 4)]
+)
+def test_betti_of_large_random_spines(n, m, seed):
+    # m < n leaves many components, m = 4n almost always one.
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < m:
+        a, b = rng.sample(range(n), 2)
+        edges.add((min(a, b), max(a, b)))
+    g = Graph(range(n), edges)
+    c = len(components(g))
+    assert betti_numbers(from_graph(g)) == BettiVector(c, m - n + c, 0)
