@@ -89,6 +89,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     summary = [f"comp={report.comp}"]
     if report.hand is not None:
         summary.append(f"hand={report.hand}")
+    if not report.header_ok:
+        summary.append("header=" + ",".join(map(str, report.header)))
+        summary.append("counted=" + ",".join(map(str, report.counts)))
     summary.append(f"ok={_fmt_bool(report.ok)}")
     lines.append(" ".join(summary))
     sys.stdout.write("\n".join(lines) + "\n")

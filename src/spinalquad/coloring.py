@@ -16,7 +16,8 @@ each concrete instance instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from itertools import combinations
+from typing import Mapping, NamedTuple, Sequence
 
 from .embed import QuadEmbedding
 from .graph import Graph, ParseError, _strip_comment
@@ -85,24 +86,42 @@ def verify_proper_vertices(g: Graph, coloring: VertexColoring) -> PropernessRepo
     return PropernessReport(ok=True, violation=None)
 
 
+def _side_keys(q: QuadEmbedding) -> tuple[int, list[list[int]]]:
+    """Width w and, per corner position j, the side from corner j to
+    corner j + 1 of every face, side {a, b} with a <= b keyed a * w + b."""
+    corners = q.corners
+    width = max(corners, default=0) + 1
+    columns = [corners[j::4] for j in range(4)]
+    return width, [
+        [a * width + b if a < b else b * width + a for a, b in zip(columns[j], columns[j - 3])]
+        for j in range(4)
+    ]
+
+
+def _distinct_labels(sides: list[list[int]], labels: Sequence[int]) -> int:
+    """How many distinct (side, label of its face) pairs there are."""
+    low = min(labels, default=0)
+    base = max(labels, default=0) - low + 1
+    return len(
+        {side * base + label - low for column in sides for side, label in zip(column, labels)}
+    )
+
+
 def face_adjacencies(q: QuadEmbedding) -> list[tuple[int, int, tuple[int, int]]]:
     """Pairs of distinct face indices meeting the same edge.
 
     Returns (i, j, shared_edge) triples with i < j, sorted. Faces
     meeting an edge more than twice all count pairwise.
     """
-    by_side: dict[tuple[int, int], list[int]] = {}
-    for fi, face in enumerate(q.faces):
-        for side in face.sides():
-            by_side.setdefault(side, []).append(fi)
-    pairs: set[tuple[int, int, tuple[int, int]]] = set()
-    for side, faces in by_side.items():
-        for a in range(len(faces)):
-            for b in range(a + 1, len(faces)):
-                i, j = faces[a], faces[b]
-                if i != j:
-                    pairs.add((min(i, j), max(i, j), side))
-    return sorted(pairs)
+    width, sides = _side_keys(q)
+    by_side: dict[int, list[int]] = {}
+    for side, f in sorted({(side, f) for column in sides for f, side in enumerate(column)}):
+        by_side.setdefault(side, []).append(f)
+    return sorted(
+        (i, j, divmod(side, width))
+        for side, faces in by_side.items()
+        for i, j in combinations(faces, 2)
+    )
 
 
 def verify_proper_faces(q: QuadEmbedding, coloring: FaceColoring) -> PropernessReport:
@@ -110,15 +129,21 @@ def verify_proper_faces(q: QuadEmbedding, coloring: FaceColoring) -> PropernessR
 
     Adjacency means sharing an edge. Raises ColoringError when some
     face has no color; returns the violating pair with its shared edge
-    on failure.
+    on failure, the first in face_adjacencies order.
     """
-    for fi in range(len(q.faces)):
-        if fi not in coloring.colors:
+    colors = coloring.colors
+    nfaces = len(q.sources)
+    for fi in range(nfaces):
+        if fi not in colors:
             raise ColoringError(f"face {fi} has no color")
-    for i, j, side in face_adjacencies(q):
-        if coloring.colors[i] == coloring.colors[j]:
-            return PropernessReport(ok=False, violation=(i, j, side))
-    return PropernessReport(ok=True, violation=None)
+    # Two faces on one side share a color iff labelling each face by its
+    # color instead of its index merges two (side, label) pairs.
+    _, sides = _side_keys(q)
+    face_colors = [colors[f] for f in range(nfaces)]
+    if _distinct_labels(sides, range(nfaces)) == _distinct_labels(sides, face_colors):
+        return PropernessReport(ok=True, violation=None)
+    clash = next(pair for pair in face_adjacencies(q) if colors[pair[0]] == colors[pair[1]])
+    return PropernessReport(ok=False, violation=clash)
 
 
 def _greedy_clique(g: Graph) -> list[int]:
@@ -298,7 +323,7 @@ def face_coloring_from_sources(q: QuadEmbedding, coloring: VertexColoring) -> Fa
     report = verify_proper_vertices(q.spine, coloring)
     if not report.ok:
         raise ColoringError(f"spine coloring improper on edge {report.violation}")
-    face_colors = {fi: coloring.colors[face.source] for fi, face in enumerate(q.faces)}
+    face_colors = {fi: coloring.colors[source] for fi, source in enumerate(q.sources)}
     return FaceColoring(colors=face_colors, palette=coloring.palette)
 
 

@@ -18,6 +18,14 @@ For a degree-1 vertex the rule collapses to the single merged face
 the twins of its source. The construction never trusts itself: the
 surface module re-certifies every output combinatorially.
 
+An embedding is stored flat: the spine, a ``corners`` tuple holding
+four encoded twin ids (``2 * spine_id + copy``) per face, and a
+``sources`` tuple holding one source id per face. ``faces`` (QuadFace
+records over TwinVertex corners) and ``interlacement`` are read-only
+views derived from those on access, for callers that want records or
+the doubled graph; building, printing, parsing and verifying never
+need either.
+
 Counting consequences, for every rotation system: the face list has
 2E faces over the 2V vertices and 4E edges of the interlacement, and
 every interlacement edge lies on exactly two face sides.
@@ -26,16 +34,18 @@ every interlacement edge lies on exactly two face sides.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import Graph, ParseError, _strip_comment, components
 from .interlace import (
     Interlacement,
     TwinVertex,
+    decode_twin,
     encode_twin,
     interlace,
     parse_twin_token,
-    twin_token,
 )
 
 # Cyclic neighbor order per spine vertex; each value is a permutation
@@ -73,22 +83,68 @@ class QuadFace:
             (min(a, b), max(a, b)) for a, b in zip(ids, ids[1:] + ids[:1])
         )
 
-    def directed_sides(self) -> tuple[tuple[int, int], ...]:
-        """The four boundary edges in corner order, as encoded pairs."""
-        ids = [encode_twin(c) for c in self.corners]
-        return tuple(zip(ids, ids[1:] + ids[:1]))
+
+class FaceView(Sequence):
+    """The faces of an embedding as QuadFace records, made on access.
+
+    Length comes from the flat arrays without building any record.
+    """
+
+    __slots__ = ("_corners", "_sources")
+
+    def __init__(self, corners: tuple[int, ...], sources: tuple[int, ...]):
+        self._corners = corners
+        self._sources = sources
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+    def __getitem__(self, index):
+        picked = range(len(self._sources))[index]
+        if isinstance(picked, range):
+            return tuple(self._face(i) for i in picked)
+        return self._face(picked)
+
+    def _face(self, i: int) -> QuadFace:
+        ids = self._corners[4 * i : 4 * i + 4]
+        return QuadFace(corners=tuple(map(decode_twin, ids)), source=self._sources[i])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True)
 class QuadEmbedding:
-    """An interlacement together with its quadrilateral face list."""
+    """A spine together with its flat quadrilateral face list.
 
-    interlacement: Interlacement
-    faces: tuple[QuadFace, ...]
+    ``corners`` holds four encoded twin ids per face, in cyclic order;
+    ``sources`` holds each face's source spine vertex. ``header`` is the
+    ``(V, E, F, components)`` claim of a parsed ``.quad`` file, and None
+    for an embedding built in memory.
+    """
+
+    spine: Graph
+    corners: tuple[int, ...]
+    sources: tuple[int, ...]
+    header: tuple[int, int, int, int] | None = None
+
+    def __post_init__(self) -> None:
+        if len(self.corners) != 4 * len(self.sources):
+            raise ValueError(
+                f"{len(self.corners)} corners for {len(self.sources)} faces; need four per face"
+            )
+        if min(self.corners, default=0) < 0:
+            raise ValueError("negative twin id among the corners")
 
     @property
-    def spine(self) -> Graph:
-        return self.interlacement.spine
+    def faces(self) -> FaceView:
+        return FaceView(self.corners, self.sources)
+
+    @cached_property
+    def interlacement(self) -> Interlacement:
+        return interlace(self.spine)
 
     def spine_components(self) -> list[tuple[int, ...]]:
         return components(self.spine)
@@ -139,36 +195,33 @@ def quadrangulate(spine: Graph, rotations: RotationSystem | None = None) -> Quad
         if tuple(sorted(rotations[v])) != spine.neighbors(v):
             raise RotationError(f"rotation at vertex {v} is not a permutation of its neighbors")
 
-    faces: list[QuadFace] = []
+    # Every face of v reads (2v, 2u, 2v + 1, 2w + 1) for consecutive
+    # rotation entries (u, w), so sorting the (u, w) pairs sorts the
+    # faces by corner sequence, as encoded ids order like twin pairs.
+    corners: list[int] = []
+    sources: list[int] = []
     for v in spine.vertices:
         rot = rotations[v]
-        d = len(rot)
-        for i in range(d):
-            u, w = rot[i], rot[(i + 1) % d]
-            corners = (
-                TwinVertex(v, 0),
-                TwinVertex(u, 0),
-                TwinVertex(v, 1),
-                TwinVertex(w, 1),
-            )
-            faces.append(QuadFace(corners=corners, source=v))
-    faces.sort(key=lambda f: (f.source, f.corners))
-    return QuadEmbedding(interlacement=interlace(spine), faces=tuple(faces))
+        for u, w in sorted(zip(rot, rot[1:] + rot[:1])):
+            corners += (2 * v, 2 * u, 2 * v + 1, 2 * w + 1)
+        sources += [v] * len(rot)
+    return QuadEmbedding(spine=spine, corners=tuple(corners), sources=tuple(sources))
 
 
 def format_quad(q: QuadEmbedding) -> str:
     """Emit the ``.quad`` format.
 
     Header ``quad <V> <E> <F> <components>`` with the interlacement's
-    vertex and edge counts, then one line per face: four corner tokens
-    followed by ``src=<id>``.
+    vertex and edge counts (twice and four times the spine's), then one
+    line per face: four corner tokens followed by ``src=<id>``.
     """
-    graph = q.interlacement.graph
+    spine = q.spine
     ncomp = len(q.spine_components())
-    lines = [f"quad {len(graph.vertices)} {len(graph.edges)} {len(q.faces)} {ncomp}"]
-    for face in q.faces:
-        corners = " ".join(twin_token(c) for c in face.corners)
-        lines.append(f"{corners} src={face.source}")
+    lines = [f"quad {2 * len(spine.vertices)} {4 * len(spine.edges)} {len(q.sources)} {ncomp}"]
+    token = {x: f"{x >> 1}.{x & 1}" for x in set(q.corners)}
+    ids = iter(map(token.__getitem__, q.corners))
+    for source, a, b, c, d in zip(q.sources, ids, ids, ids, ids):
+        lines.append(f"{a} {b} {c} {d} src={source}")
     return "\n".join(lines) + "\n"
 
 
@@ -178,52 +231,60 @@ def parse_quad(text: str) -> QuadEmbedding:
     The spine is reconstructed from the faces: corner projections (and
     source labels) give the spine vertices, and face sides with
     distinct projections give the spine edges. The header counts are
-    not trusted; a face list that does not cover a full interlacement
-    simply fails surface verification later. Sides joining the two
-    twins of one vertex are never interlacement edges, so they are
-    left for the verifier to flag.
+    kept as a claim for the verifier to check, not trusted. Sides
+    joining the two twins of one vertex are never interlacement edges,
+    so they are left for the verifier to flag.
     """
-    faces: list[QuadFace] = []
-    header_seen = False
+    corners: list[int] = []
+    sources: list[int] = []
+    # Each distinct twin token is validated once.
+    twin_ids: dict[str, int] = {}
+    lookup = twin_ids.get
+    header: tuple[int, int, int, int] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
             continue
         tokens = line.split()
         if tokens[0] == "quad":
-            if header_seen:
+            if header is not None:
                 raise ParseError(f"line {lineno}: duplicate header")
             if len(tokens) != 5:
                 raise ParseError(f"line {lineno}: header needs 4 counts")
             try:
-                [int(t) for t in tokens[1:]]
+                v, e, f, c = (int(t) for t in tokens[1:])
             except ValueError:
                 raise ParseError(f"line {lineno}: header counts must be integers") from None
-            header_seen = True
+            header = (v, e, f, c)
             continue
         if len(tokens) != 5 or not tokens[4].startswith("src="):
             raise ParseError(
                 f"line {lineno}: expected four corner tokens followed by 'src=<id>'"
             )
-        corners = tuple(parse_twin_token(t, lineno) for t in tokens[:4])
+        quad = (lookup(tokens[0]), lookup(tokens[1]), lookup(tokens[2]), lookup(tokens[3]))
+        if None in quad:
+            for token in tokens[:4]:
+                if token not in twin_ids:
+                    twin_ids[token] = encode_twin(parse_twin_token(token, lineno))
+            quad = (lookup(tokens[0]), lookup(tokens[1]), lookup(tokens[2]), lookup(tokens[3]))
+        corners += quad
         try:
             source = int(tokens[4][len("src="):])
         except ValueError:
             raise ParseError(f"line {lineno}: malformed source label {tokens[4]!r}") from None
         if source < 0:
             raise ParseError(f"line {lineno}: negative source id")
-        faces.append(QuadFace(corners=corners, source=source))  # type: ignore[arg-type]
-    if not header_seen:
+        sources.append(source)
+    if header is None:
         raise ParseError("missing 'quad' header line")
 
-    spine_vertices = {f.source for f in faces}
-    spine_edges: set[tuple[int, int]] = set()
-    for face in faces:
-        for c in face.corners:
-            spine_vertices.add(c.spine_id)
-        cs = list(face.corners)
-        for a, b in zip(cs, cs[1:] + cs[:1]):
-            if a.spine_id != b.spine_id:
-                spine_edges.add((min(a.spine_id, b.spine_id), max(a.spine_id, b.spine_id)))
-    spine = Graph(spine_vertices, spine_edges)
-    return QuadEmbedding(interlacement=interlace(spine), faces=tuple(faces))
+    ids = [x >> 1 for x in corners]
+    columns = ids[0::4], ids[1::4], ids[2::4], ids[3::4]
+    pairs: set[tuple[int, int]] = set()
+    for j in range(4):
+        pairs.update(zip(columns[j], columns[j - 3]))
+    spine_edges = {(u, w) if u < w else (w, u) for u, w in pairs if u != w}
+    spine = Graph(set(ids) | set(sources), spine_edges)
+    return QuadEmbedding(
+        spine=spine, corners=tuple(corners), sources=tuple(sources), header=header
+    )

@@ -1,21 +1,29 @@
 """Certify that a quadrilateral face complex is a closed orientable surface.
 
 This module is the oracle side of the toolkit: it never looks at how
-an embedding was built, only at the face list and the interlacement
-graph, and re-derives every property combinatorially. The checks, in
-order:
+an embedding was built, only at the flat corner array and the spine,
+and re-derives every property combinatorially. The interlacement is
+read off the spine rather than built: a side (a, b) is an edge iff
+(a >> 1, b >> 1) is a spine edge. One pass over the faces maps every
+side to its occurrences (face and direction); the checks, in order:
 
   (a) every face is a simple 4-cycle of the interlacement;
   (b) every interlacement edge carries exactly two face sides;
   (c) the link of every vertex is a single closed cycle, which rules
       out pinch points (a two-node link with two parallel edges, the
-      bigon left by a degree-1 spine vertex, counts as one cycle);
+      bigon left by a degree-1 spine vertex, counts as one cycle):
+      each link node (vertex x, neighbour y) must meet exactly two
+      corners at x, and union-find over the corners that share a link
+      node must leave one class per vertex;
   (d) the faces admit boundary directions traversing each edge once in
-      each direction, found by parity propagation over face adjacency;
+      each direction, found by union-find with parity over faces, one
+      constraint per two-sided edge;
   (e) per-component genus from the Euler characteristic.
 
 Genus is only ever reported for a component that passed closedness and
-orientability; all failures are verdicts, not exceptions.
+orientability; all failures are verdicts, not exceptions. A report
+with no component fails, and so does a parsed file whose header claims
+other (V, E, F, components) counts than the ones re-derived.
 
 On top of the raw surface check sit the two homological identities for
 graph spines: the component/handle counts of the built surface must
@@ -27,7 +35,7 @@ verified surface on the other, so neither side trusts the other.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,10 +74,20 @@ class ComponentReport:
 @dataclass(frozen=True)
 class SurfaceReport:
     components: tuple[ComponentReport, ...]
+    # (V, E, F, components) as re-derived from the spine and the faces,
+    # and the counts a parsed file's header claimed (None otherwise).
+    counts: tuple[int, int, int, int]
+    header: tuple[int, int, int, int] | None = None
+
+    @property
+    def header_ok(self) -> bool:
+        return self.header is None or self.header == self.counts
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.components)
+        """At least one component, a header that matches, and every
+        component certified."""
+        return bool(self.components) and self.header_ok and all(c.ok for c in self.components)
 
     @property
     def comp(self) -> int:
@@ -86,138 +104,174 @@ class SurfaceReport:
         return total
 
 
-def _link_is_single_cycle(link_edges: list[tuple[int, int]]) -> bool:
-    # Multigraph check: connected and every node of degree exactly 2.
-    if not link_edges:
-        return False
-    degree: Counter[int] = Counter()
-    adjacency: defaultdict[int, list[int]] = defaultdict(list)
-    for a, b in link_edges:
-        degree[a] += 1
-        degree[b] += 1
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    if any(d != 2 for d in degree.values()):
-        return False
-    nodes = set(degree)
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        n = stack.pop()
-        for m in adjacency[n]:
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return seen == nodes
-
-
-def _orientable(face_ids: list[int], q: QuadEmbedding) -> bool:
-    # Each undirected edge is met by exactly two directed sides here
-    # (callers only invoke this on closed components). A face may keep
-    # or flip its corner order; flipping reverses all four sides. Seek
-    # a flip assignment making the two traversals of every edge
-    # opposite, by parity BFS over the face adjacency.
-    side_faces: defaultdict[tuple[int, int], list[tuple[int, bool]]] = defaultdict(list)
-    for fi in face_ids:
-        for a, b in q.faces[fi].directed_sides():
-            side_faces[(min(a, b), max(a, b))].append((fi, a < b))
-    constraints: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-    for entries in side_faces.values():
-        (f1, d1), (f2, d2) = entries
-        parity = 1 if d1 == d2 else 0
-        if f1 == f2:
-            if parity:
-                return False
-            continue
-        constraints[f1].append((f2, parity))
-        constraints[f2].append((f1, parity))
-    flip: dict[int, int] = {}
-    for start in face_ids:
-        if start in flip:
-            continue
-        flip[start] = 0
-        stack = [start]
-        while stack:
-            f = stack.pop()
-            for g, parity in constraints[f]:
-                want = flip[f] ^ parity
-                if g not in flip:
-                    flip[g] = want
-                    stack.append(g)
-                elif flip[g] != want:
-                    return False
-    return True
-
-
 def verify_surface(q: QuadEmbedding) -> SurfaceReport:
     """Certify each component of the face complex independently.
 
-    Components are those of the interlacement graph; a face belongs to
-    the component of its first corner.
+    Components are those of the interlacement, read off the spine: a
+    spine component with an edge doubles to one component, and an
+    isolated spine vertex leaves two isolated twins. A face belongs to
+    the component of its first corner; faces whose first corner lies
+    outside the interlacement form one more component, with no
+    vertices or edges, which fails.
     """
-    graph = q.interlacement.graph
-    blocks = components(graph)
+    spine, corners = q.spine, q.corners
+    nfaces = len(q.sources)
+    n = max(max(corners, default=0) >> 1, max(spine.vertices, default=0)) + 1
+    width = 2 * n
+    spine_edges = {u * n + v for u, v in spine.edges}
+
     block_of: dict[int, int] = {}
-    for bi, block in enumerate(blocks):
-        for v in block:
-            block_of[v] = bi
+    block_sizes: list[int] = []
+    block_edges: list[int] = []
+    for comp in components(spine):
+        if spine.degree(comp[0]):
+            for v in comp:
+                block_of[2 * v] = block_of[2 * v + 1] = len(block_sizes)
+            block_sizes.append(2 * len(comp))
+            block_edges.append(2 * sum(spine.degree(v) for v in comp))
+        else:
+            for x in (2 * comp[0], 2 * comp[0] + 1):
+                block_of[x] = len(block_sizes)
+                block_sizes.append(1)
+                block_edges.append(0)
+    stray = len(block_sizes)
+    block_sizes.append(0)
+    block_edges.append(0)
+    nblocks = stray + 1
 
-    edge_set = set(graph.edges)
-    faces_by_block: list[list[int]] = [[] for _ in blocks]
-    for fi, face in enumerate(q.faces):
-        first = 2 * face.corners[0].spine_id + face.corners[0].copy
-        faces_by_block[block_of[first]].append(fi)
-    edges_by_block: list[list[tuple[int, int]]] = [[] for _ in blocks]
-    for e in graph.edges:
-        edges_by_block[block_of[e[0]]].append(e)
+    # One pass over the faces: each undirected side (a, b), a <= b, as
+    # the key a * width + b, maps to its occurrences 4 * face + position;
+    # the side at position j runs from corner j to corner j + 1.
+    face_block = [block_of.get(x, stray) for x in corners[0::4]]
+    simple = [True] * nblocks
+    simple[stray] = False
+    sides: dict[int, list[int]] = {}
+    for f, b in enumerate(face_block):
+        k = 4 * f
+        quad = corners[k : k + 4]
+        if len(set(quad)) != 4:
+            simple[b] = False
+        for j in range(4):
+            x, y = quad[j], quad[j - 3]
+            key = x * width + y if x < y else y * width + x
+            if key in sides:
+                sides[key].append(k + j)
+            else:
+                sides[key] = [k + j]
 
+    # The link of twin x has a node (x, y) per side {x, y} at x and an
+    # edge per corner at x, joining the nodes of the corner's two sides.
+    # It is one cycle iff it is non-empty, every node meets exactly two
+    # corners, and joining the two corners at each node leaves one
+    # class. An edge with two sides in its component also joins its two
+    # faces, with parity 1 when both sides run the same way: a face
+    # flips all four of its sides at once, and a closed component is
+    # orientable iff the parities admit flips with every edge traversed
+    # once each way.
+    corner_parent = list(range(4 * nfaces))
+    face_parent = list(range(nfaces))
+    parity = [0] * nfaces
+    linked: set[int] = set()
+    link_ends = [0] * nblocks
+    merges = [0] * nblocks
+    links = [True] * nblocks
+    two_sided = [0] * nblocks
+    conflict = [False] * nblocks
+    for key, occurrences in sides.items():
+        a, b = divmod(key, width)
+        ba, bb = block_of.get(a, stray), block_of.get(b, stray)
+        edge = (a >> 1) * n + (b >> 1) in spine_edges
+        # Per occurrence, its corner at a and at b, kept when that twin
+        # is in the face's component; forward when it runs from a to b.
+        at_a: list[int] = []
+        at_b: list[int] = []
+        forward: list[bool] = []
+        for k in occurrences:
+            fb = face_block[k >> 2]
+            if not edge:
+                simple[fb] = False
+            following = k + 1 if k & 3 != 3 else k - 3
+            ca, cb = (k, following) if corners[k] == a else (following, k)
+            if ba == fb:
+                at_a.append(ca)
+                forward.append(ca == k)
+            if bb == fb:
+                at_b.append(cb)
+        nodes = ((a, ba, at_a + at_b),) if a == b else ((a, ba, at_a), (b, bb, at_b))
+        for x, bx, ends in nodes:
+            if ends:
+                linked.add(x)
+                link_ends[bx] += len(ends)
+                if len(ends) != 2:
+                    links[bx] = False
+                    continue
+                r1, r2 = _root(corner_parent, ends[0]), _root(corner_parent, ends[1])
+                if r1 != r2:
+                    corner_parent[r1] = r2
+                    merges[bx] += 1
+        if edge and len(at_a) == 2:
+            two_sided[ba] += 1
+            want = 1 if forward[0] == forward[1] else 0
+            f1, p1 = _parity_root(face_parent, parity, at_a[0] >> 2)
+            f2, p2 = _parity_root(face_parent, parity, at_a[1] >> 2)
+            if f1 != f2:
+                face_parent[f1] = f2
+                parity[f1] = p1 ^ p2 ^ want
+            elif p1 ^ p2 != want:
+                conflict[ba] = True
+    for x, bx in block_of.items():
+        if x not in linked:
+            links[bx] = False
+
+    face_counts = Counter(face_block)
     reports: list[ComponentReport] = []
-    for bi, block in enumerate(blocks):
-        face_ids = faces_by_block[bi]
-        block_edges = edges_by_block[bi]
-
-        faces_simple = True
-        side_count: Counter[tuple[int, int]] = Counter()
-        link_edges: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-        for fi in face_ids:
-            face = q.faces[fi]
-            ids = [2 * c.spine_id + c.copy for c in face.corners]
-            if len(set(ids)) != 4:
-                faces_simple = False
-            for j in range(4):
-                a, b = ids[j], ids[(j + 1) % 4]
-                side = (min(a, b), max(a, b))
-                if side in edge_set:
-                    side_count[side] += 1
-                else:
-                    faces_simple = False
-            for j in range(4):
-                link_edges[ids[j]].append((ids[j - 1], ids[(j + 1) % 4]))
-
-        edges_two_sided = all(side_count[e] == 2 for e in block_edges)
-        links_single_cycle = all(_link_is_single_cycle(link_edges[v]) for v in block)
-        closed = faces_simple and edges_two_sided and links_single_cycle
-        orientable = _orientable(face_ids, q) if closed else False
-
-        chi = len(block) - len(block_edges) + len(face_ids)
+    for b in range(nblocks if face_counts[stray] else stray):
+        # Each corner meets two link nodes of its own twin, so the
+        # component's corners number link_ends / 2, and its link classes
+        # that minus merges: one per twin iff every link is one cycle.
+        if link_ends[b] // 2 - merges[b] != block_sizes[b]:
+            links[b] = False
+        edges_two_sided = two_sided[b] == block_edges[b]
+        closed = simple[b] and edges_two_sided and links[b]
+        orientable = closed and not conflict[b]
+        chi = block_sizes[b] - block_edges[b] + face_counts[b]
         genus: int | None = None
-        if closed and orientable and chi % 2 == 0 and chi <= 2:
+        if orientable and chi % 2 == 0 and chi <= 2:
             genus = (2 - chi) // 2
         reports.append(
             ComponentReport(
-                vertices=len(block),
-                edges=len(block_edges),
-                faces=len(face_ids),
+                vertices=block_sizes[b],
+                edges=block_edges[b],
+                faces=face_counts[b],
                 euler_characteristic=chi,
-                faces_simple=faces_simple,
+                faces_simple=simple[b],
                 edges_two_sided=edges_two_sided,
-                links_single_cycle=links_single_cycle,
+                links_single_cycle=links[b],
                 orientable=orientable,
                 genus=genus,
             )
         )
-    return SurfaceReport(components=tuple(reports))
+    counts = (2 * len(spine.vertices), 4 * len(spine.edges), nfaces, len(reports))
+    return SurfaceReport(components=tuple(reports), counts=counts, header=q.header)
+
+
+def _root(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _parity_root(parent: list[int], parity: list[int], f: int) -> tuple[int, int]:
+    """Root of face f and f's flip relative to it, halving the path."""
+    p = 0
+    while parent[f] != f:
+        g = parent[f]
+        parity[f] ^= parity[g]
+        parent[f] = parent[g]
+        p ^= parity[f]
+        f = parent[f]
+    return f, p
 
 
 def thickening_report(spine: Graph) -> tuple[int, int]:
@@ -231,7 +285,9 @@ def thickening_report(spine: Graph) -> tuple[int, int]:
     if spine.isolated_vertices():
         raise IsolatedVertexError(f"vertex {spine.isolated_vertices()[0]} is isolated")
     report = verify_surface(quadrangulate(spine, default_rotations(spine)))
-    if not report.ok or report.hand is None:
+    # The empty spine thickens to the empty surface, with no components.
+    certified = report.ok or not spine.vertices
+    if not certified or report.hand is None:
         raise VerificationError("constructed embedding failed surface certification")
     return report.comp, report.hand
 

@@ -1,17 +1,30 @@
 """Seeded generators and naive oracles shared across the test suite.
 
 The oracles here are deliberately dumber than the library: exhaustive
-coloring search with no bounds, and rational Gaussian elimination for
-matrix rank. They exist to cross-check the clever implementations.
+coloring search with no bounds, rational Gaussian elimination for
+matrix rank, and the three-pass surface verifier over QuadFace records
+that the one-pass flat verifier replaced. They exist to cross-check
+the clever implementations.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
 
-from spinalquad import Graph, SimplicialComplex
+from spinalquad import (
+    ComponentReport,
+    Graph,
+    QuadEmbedding,
+    SimplicialComplex,
+    TwinVertex,
+    components,
+    encode_twin,
+    interlace,
+    twin_token,
+)
 
 
 def random_graph_no_isolated(seed: int, max_vertices: int = 10) -> Graph:
@@ -73,29 +86,202 @@ def chromatic_brute(g: Graph) -> int:
     return k
 
 
-def mutate_quad_text(text: str, action: str) -> str:
+def mutate_quad_text(text: str, action: str, index: int = 0) -> str:
     """Damage a well-formed quad file in a still-parseable way.
 
-    Actions: ``delete`` drops the first face, ``duplicate`` repeats
-    it, ``twinflip`` reverses its corner walk and toggles one twin
-    mark. Verification must flag all three.
+    Actions on face ``index``: ``delete`` drops it, ``duplicate``
+    repeats it at the end, ``twinflip`` reverses its corner walk and
+    toggles the twin mark of its new second corner. Verification must
+    flag all three.
     """
     lines = text.strip().splitlines()
     header, faces = lines[0], lines[1:]
     if action == "delete":
-        faces = faces[1:]
+        faces = faces[:index] + faces[index + 1 :]
     elif action == "duplicate":
-        faces = faces + [faces[0]]
+        faces = faces + [faces[index]]
     elif action == "twinflip":
-        tokens = faces[0].split()
+        tokens = faces[index].split()
         corners = tokens[:4]
         corners = [corners[0]] + corners[:0:-1]
         head, _, copy = corners[1].partition(".")
         corners[1] = f"{head}.{1 - int(copy)}"
-        faces[0] = " ".join(corners + [tokens[4]])
+        faces[index] = " ".join(corners + [tokens[4]])
     else:
         raise ValueError(f"unknown mutation {action!r}")
     return "\n".join([header] + faces) + "\n"
+
+
+def seed_quad_text(spine: Graph, rotations: dict[int, tuple[int, ...]]) -> str:
+    """The ``.quad`` text of the record-based construction: faces as
+    TwinVertex tuples sorted by (source, corners), counts read off the
+    built interlacement graph."""
+    faces = []
+    for v in spine.vertices:
+        rot = rotations[v]
+        for i in range(len(rot)):
+            u, w = rot[i], rot[(i + 1) % len(rot)]
+            corners = (TwinVertex(v, 0), TwinVertex(u, 0), TwinVertex(v, 1), TwinVertex(w, 1))
+            faces.append((v, corners))
+    faces.sort()
+    graph = interlace(spine).graph
+    ncomp = len(components(spine))
+    lines = [f"quad {len(graph.vertices)} {len(graph.edges)} {len(faces)} {ncomp}"]
+    for source, corners in faces:
+        lines.append(" ".join(twin_token(c) for c in corners) + f" src={source}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_face_adjacencies(q: QuadEmbedding) -> list[tuple[int, int, tuple[int, int]]]:
+    """Face pairs meeting an edge, read off QuadFace records."""
+    by_side: dict[tuple[int, int], list[int]] = {}
+    for fi, face in enumerate(q.faces):
+        for side in face.sides():
+            by_side.setdefault(side, []).append(fi)
+    pairs = {
+        (min(i, j), max(i, j), side)
+        for side, faces in by_side.items()
+        for i, j in combinations(faces, 2)
+        if i != j
+    }
+    return sorted(pairs)
+
+
+def _link_is_single_cycle(link_edges: list[tuple[int, int]]) -> bool:
+    # Multigraph check: connected and every node of degree exactly 2.
+    if not link_edges:
+        return False
+    degree: Counter[int] = Counter()
+    adjacency: defaultdict[int, list[int]] = defaultdict(list)
+    for a, b in link_edges:
+        degree[a] += 1
+        degree[b] += 1
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    if any(d != 2 for d in degree.values()):
+        return False
+    nodes = set(degree)
+    start = next(iter(nodes))
+    seen = {start}
+    stack = [start]
+    while stack:
+        n = stack.pop()
+        for m in adjacency[n]:
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return seen == nodes
+
+
+def _orientable(face_ids: list[int], q: QuadEmbedding) -> bool:
+    # Each undirected edge is met by exactly two directed sides here
+    # (callers only invoke this on closed components). A face may keep
+    # or flip its corner order; flipping reverses all four sides. Seek
+    # a flip assignment making the two traversals of every edge
+    # opposite, by parity BFS over the face adjacency.
+    side_faces: defaultdict[tuple[int, int], list[tuple[int, bool]]] = defaultdict(list)
+    for fi in face_ids:
+        ids = [encode_twin(c) for c in q.faces[fi].corners]
+        for a, b in zip(ids, ids[1:] + ids[:1]):
+            side_faces[(min(a, b), max(a, b))].append((fi, a < b))
+    constraints: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    for entries in side_faces.values():
+        (f1, d1), (f2, d2) = entries
+        parity = 1 if d1 == d2 else 0
+        if f1 == f2:
+            if parity:
+                return False
+            continue
+        constraints[f1].append((f2, parity))
+        constraints[f2].append((f1, parity))
+    flip: dict[int, int] = {}
+    for start in face_ids:
+        if start in flip:
+            continue
+        flip[start] = 0
+        stack = [start]
+        while stack:
+            f = stack.pop()
+            for g, parity in constraints[f]:
+                want = flip[f] ^ parity
+                if g not in flip:
+                    flip[g] = want
+                    stack.append(g)
+                elif flip[g] != want:
+                    return False
+    return True
+
+
+def oracle_verify_surface(q: QuadEmbedding) -> tuple[ComponentReport, ...]:
+    """Per-component verdicts of the three-pass verifier over QuadFace
+    records and the built interlacement graph: a main loop, then a
+    link pass and an orientation pass per component.
+
+    Components are those of the interlacement graph; a face belongs to
+    the component of its first corner, which must lie in that graph.
+    """
+    graph = q.interlacement.graph
+    blocks = components(graph)
+    block_of: dict[int, int] = {}
+    for bi, block in enumerate(blocks):
+        for v in block:
+            block_of[v] = bi
+
+    edge_set = set(graph.edges)
+    faces_by_block: list[list[int]] = [[] for _ in blocks]
+    for fi, face in enumerate(q.faces):
+        first = 2 * face.corners[0].spine_id + face.corners[0].copy
+        faces_by_block[block_of[first]].append(fi)
+    edges_by_block: list[list[tuple[int, int]]] = [[] for _ in blocks]
+    for e in graph.edges:
+        edges_by_block[block_of[e[0]]].append(e)
+
+    reports: list[ComponentReport] = []
+    for bi, block in enumerate(blocks):
+        face_ids = faces_by_block[bi]
+        block_edges = edges_by_block[bi]
+
+        faces_simple = True
+        side_count: Counter[tuple[int, int]] = Counter()
+        link_edges: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        for fi in face_ids:
+            face = q.faces[fi]
+            ids = [2 * c.spine_id + c.copy for c in face.corners]
+            if len(set(ids)) != 4:
+                faces_simple = False
+            for j in range(4):
+                a, b = ids[j], ids[(j + 1) % 4]
+                side = (min(a, b), max(a, b))
+                if side in edge_set:
+                    side_count[side] += 1
+                else:
+                    faces_simple = False
+            for j in range(4):
+                link_edges[ids[j]].append((ids[j - 1], ids[(j + 1) % 4]))
+
+        edges_two_sided = all(side_count[e] == 2 for e in block_edges)
+        links_single_cycle = all(_link_is_single_cycle(link_edges[v]) for v in block)
+        closed = faces_simple and edges_two_sided and links_single_cycle
+        orientable = _orientable(face_ids, q) if closed else False
+
+        chi = len(block) - len(block_edges) + len(face_ids)
+        genus: int | None = None
+        if closed and orientable and chi % 2 == 0 and chi <= 2:
+            genus = (2 - chi) // 2
+        reports.append(
+            ComponentReport(
+                vertices=len(block),
+                edges=len(block_edges),
+                faces=len(face_ids),
+                euler_characteristic=chi,
+                faces_simple=faces_simple,
+                edges_two_sided=edges_two_sided,
+                links_single_cycle=links_single_cycle,
+                orientable=orientable,
+                genus=genus,
+            )
+        )
+    return tuple(reports)
 
 
 def rank_by_fractions(rows: list[list[int]]) -> int:

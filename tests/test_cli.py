@@ -71,6 +71,27 @@ def test_verify_flags_mutations(tmp_path, k3_quad, capsys):
     assert "genus=" not in out.splitlines()[0]
 
 
+def test_verify_fails_a_header_only_file(tmp_path, capsys):
+    path = tmp_path / "empty.quad"
+    path.write_text("quad 6 12 6 1\n")
+    assert run(["verify", "--in", str(path)]) == 1
+    assert capsys.readouterr().out == "comp=0 hand=0 header=6,12,6,1 counted=0,0,0,0 ok=false\n"
+
+
+def test_verify_fails_when_a_component_is_dropped(tmp_path, capsys):
+    spine = tmp_path / "two.edges"
+    spine.write_text("0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+    quad = tmp_path / "two.quad"
+    assert run(["quadrangulate", "--in", str(spine), "--out", str(quad)]) == 0
+    header, *faces = quad.read_text().splitlines()
+    kept = [line for line in faces if not line.endswith(("src=3", "src=4", "src=5"))]
+    quad.write_text("\n".join([header] + kept) + "\n")
+    assert run(["verify", "--in", str(quad)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "comp=1 hand=1 header=12,24,12,2 counted=6,12,6,1 ok=false"
+    )
+
+
 def test_verify_rejects_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.quad"
     bad.write_text("quad 1 2 3 4\n0.0 0.3 1.0 1.1 src=0\n")

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from spinalquad import (
@@ -7,13 +9,17 @@ from spinalquad import (
     QuadFace,
     RotationError,
     TwinVertex,
+    VertexColoring,
     complete_graph,
     default_rotations,
+    face_coloring_from_sources,
     format_quad,
     parse_quad,
     permute_rotations,
     quadrangulate,
     twin_token,
+    verify_proper_faces,
+    verify_surface,
 )
 
 from helpers import random_graph_no_isolated
@@ -175,3 +181,32 @@ def test_disconnected_spine_supported():
     q = quadrangulate(Graph(edges=[(0, 1), (2, 3)]))
     assert len(q.spine_components()) == 2
     assert len(q.faces) == 4
+
+
+def test_surface_chain_builds_no_face_records_and_no_interlacement(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("QuadFace built on the flat surface path")
+
+    monkeypatch.setattr(QuadFace, "__init__", refuse)
+    calls = []
+    for name in ("interlace", "embed", "verify", "coloring", "cli"):
+        module = importlib.import_module(f"spinalquad.{name}")
+        original = getattr(module, "interlace", None)
+        if callable(original):
+
+            def counted(spine, original=original):
+                calls.append(spine)
+                return original(spine)
+
+            monkeypatch.setattr(module, "interlace", counted)
+
+    spine = random_graph_no_isolated(5)
+    q = quadrangulate(spine, permute_rotations(default_rotations(spine), 5))
+    back = parse_quad(format_quad(q))
+    assert verify_surface(back).ok
+    assert len(back.faces) == 2 * len(spine.edges)
+    palette = len(spine.vertices)
+    coloring = VertexColoring(colors={v: i for i, v in enumerate(spine.vertices)}, palette=palette)
+    faces = face_coloring_from_sources(back, coloring)
+    assert verify_proper_faces(back, faces).ok
+    assert calls == []

@@ -1,24 +1,36 @@
+import random
+
 import pytest
 
 from spinalquad import (
     BettiVector,
+    FaceColoring,
     Graph,
     IsolatedVertexError,
+    QuadEmbedding,
     check_duality_formula,
     check_thickening_identities,
     complete_graph,
     cycle_rank,
     default_rotations,
+    face_adjacencies,
     format_quad,
     parse_quad,
     permute_rotations,
     quadrangulate,
     random_tree,
     thickening_report,
+    verify_proper_faces,
     verify_surface,
 )
 
-from helpers import mutate_quad_text, random_graph_no_isolated
+from helpers import (
+    mutate_quad_text,
+    oracle_face_adjacencies,
+    oracle_verify_surface,
+    random_graph_no_isolated,
+    seed_quad_text,
+)
 
 
 def test_triangle_spine_gives_torus():
@@ -90,6 +102,7 @@ def test_unverified_component_reports_no_genus():
         (Graph(edges=[(0, 1)]), (1, 0)),
         (complete_graph(4), (1, 3)),
         (Graph(edges=[(0, 1), (1, 2), (0, 2), (3, 4)]), (2, 1)),
+        (Graph(), (0, 0)),
     ],
 )
 def test_thickening_report_counts(spine, expected):
@@ -124,3 +137,93 @@ def test_both_checks_pass_on_random_graphs():
         spine = random_graph_no_isolated(seed)
         assert check_thickening_identities(spine).ok
         assert check_duality_formula(spine).ok
+
+
+def _damaged_variants(text: str, rng: random.Random) -> list[str]:
+    """Seeded damage to a well-formed quad file, each still parseable:
+    the three tamperings of a random face, single-token edits, and
+    dropped, shuffled and repeated face lines."""
+    header, *faces = text.strip().splitlines()
+    nverts = int(header.split()[1]) // 2
+    variants = [
+        mutate_quad_text(text, action, rng.randrange(len(faces)))
+        for action in ("delete", "duplicate", "twinflip")
+    ]
+    for _ in range(4):
+        lines = list(faces)
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split()
+        slot = rng.randrange(5)
+        vertex = rng.randrange(nverts + 2)
+        tokens[slot] = f"src={vertex}" if slot == 4 else f"{vertex}.{rng.randrange(2)}"
+        lines[i] = " ".join(tokens)
+        variants.append("\n".join([header] + lines) + "\n")
+    kept = [line for line in faces if rng.random() < 0.7]
+    shuffled = rng.sample(faces, len(faces))
+    repeated = faces + rng.choices(faces, k=rng.randint(1, 3))
+    for lines in (kept, shuffled, repeated):
+        variants.append("\n".join([header] + lines) + "\n")
+    return variants
+
+
+def test_flat_verifier_agrees_with_record_oracle():
+    checked = rejected = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        spine = random_graph_no_isolated(seed, max_vertices=12)
+        rot = permute_rotations(default_rotations(spine), seed)
+        text = format_quad(quadrangulate(spine, rot))
+        assert text == seed_quad_text(spine, rot)
+        for variant in [text] + _damaged_variants(text, rng):
+            q = parse_quad(variant)
+            report = verify_surface(q)
+            assert report.components == oracle_verify_surface(q), (seed, variant)
+            pairs = oracle_face_adjacencies(q)
+            assert face_adjacencies(q) == pairs
+            colors = {i: rng.randrange(3) for i in range(len(q.faces))}
+            clash = next((p for p in pairs if colors[p[0]] == colors[p[1]]), None)
+            assert verify_proper_faces(q, FaceColoring(colors=colors, palette=3)).violation == clash
+            checked += 1
+            rejected += not all(c.ok for c in report.components)
+    assert checked == 150 * 11
+    assert rejected > checked // 2
+
+
+def test_header_only_file_fails():
+    report = verify_surface(parse_quad("quad 6 12 6 1\n"))
+    assert report.comp == 0
+    assert report.counts == (0, 0, 0, 0)
+    assert not report.ok
+
+
+def test_dropped_component_fails_on_header_counts():
+    spine = Graph(edges=[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    header, *faces = format_quad(quadrangulate(spine)).strip().splitlines()
+    assert header == "quad 12 24 12 2"
+    kept = [line for line in faces if int(line.rsplit("src=", 1)[1]) not in (3, 4, 5)]
+    report = verify_surface(parse_quad("\n".join([header] + kept) + "\n"))
+    assert report.comp == 1 and report.components[0].ok
+    assert report.counts == (6, 12, 6, 1)
+    assert report.header == (12, 24, 12, 2)
+    assert not report.header_ok
+    assert not report.ok
+
+
+def test_face_outside_the_interlacement_is_a_failing_verdict():
+    q = quadrangulate(complete_graph(3))
+    # The face (9.0, 1.0, 0.1, 1.1): its first corner's vertex is not in the spine.
+    bad = QuadEmbedding(spine=q.spine, corners=q.corners + (18, 2, 1, 3), sources=q.sources + (9,))
+    report = verify_surface(bad)
+    assert not report.ok
+    assert report.components[0] == verify_surface(q).components[0]
+    stray = report.components[-1]
+    assert stray.faces == 1 and not stray.faces_simple and not stray.ok
+    assert stray.genus is None
+
+
+def test_large_vertex_ids_verify_like_small_ones():
+    big = 10**12
+    text = f"quad 4 4 2 1\n0.0 {big}.0 0.1 {big}.1 src=0\n{big}.0 0.0 {big}.1 0.1 src={big}\n"
+    report = verify_surface(parse_quad(text))
+    assert report.ok and report.hand == 0
+    assert report.components == verify_surface(quadrangulate(Graph(edges=[(0, 1)]))).components
