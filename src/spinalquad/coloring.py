@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 from .embed import QuadEmbedding
-from .graph import Graph, ParseError, _strip_comment
+from .graph import Graph, ParseError, _records
 from .interlace import Interlacement, TwinVertex, encode_twin
 
 
@@ -335,11 +335,9 @@ def parse_vertex_coloring(text: str) -> VertexColoring:
     """
     palette: int | None = None
     colors: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line or "=" in line:
+    for lineno, tokens in _records(text):
+        if any("=" in token for token in tokens):
             continue
-        tokens = line.split()
         if tokens[0] == "colors":
             if len(tokens) != 2 or not tokens[1].isdigit():
                 raise ParseError(f"line {lineno}: expected 'colors <k>'")

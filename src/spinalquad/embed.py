@@ -38,14 +38,15 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Graph, ParseError, _strip_comment, components
+from .graph import Graph, ParseError, _records, components
 from .interlace import (
     Interlacement,
     TwinVertex,
+    _twin_id,
+    _twin_tokens,
     decode_twin,
     encode_twin,
     interlace,
-    parse_twin_token,
 )
 
 # Cyclic neighbor order per spine vertex; each value is a permutation
@@ -177,11 +178,13 @@ def quadrangulate(spine: Graph, rotations: RotationSystem | None = None) -> Quad
     ascending vertex order. The face list is sorted by (source id,
     corner sequence), so output is byte-identical across runs.
 
-    Raises IsolatedVertexError for spines with isolated vertices and
-    RotationError when ``rotations`` does not match the neighbor sets.
-    Disconnected spines are fine; each spine component yields one
-    surface component.
+    Raises ValueError for the empty spine, IsolatedVertexError for
+    spines with isolated vertices and RotationError when ``rotations``
+    does not match the neighbor sets. Disconnected spines are fine;
+    each spine component yields one surface component.
     """
+    if not spine.vertices:
+        raise ValueError("the spine has no vertices")
     isolated = spine.isolated_vertices()
     if isolated:
         raise IsolatedVertexError(f"vertex {isolated[0]} is isolated")
@@ -218,7 +221,7 @@ def format_quad(q: QuadEmbedding) -> str:
     spine = q.spine
     ncomp = len(q.spine_components())
     lines = [f"quad {2 * len(spine.vertices)} {4 * len(spine.edges)} {len(q.sources)} {ncomp}"]
-    token = {x: f"{x >> 1}.{x & 1}" for x in set(q.corners)}
+    token = _twin_tokens(set(q.corners))
     ids = iter(map(token.__getitem__, q.corners))
     for source, a, b, c, d in zip(q.sources, ids, ids, ids, ids):
         lines.append(f"{a} {b} {c} {d} src={source}")
@@ -241,11 +244,7 @@ def parse_quad(text: str) -> QuadEmbedding:
     twin_ids: dict[str, int] = {}
     lookup = twin_ids.get
     header: tuple[int, int, int, int] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _records(text):
         if tokens[0] == "quad":
             if header is not None:
                 raise ParseError(f"line {lineno}: duplicate header")
@@ -263,10 +262,7 @@ def parse_quad(text: str) -> QuadEmbedding:
             )
         quad = (lookup(tokens[0]), lookup(tokens[1]), lookup(tokens[2]), lookup(tokens[3]))
         if None in quad:
-            for token in tokens[:4]:
-                if token not in twin_ids:
-                    twin_ids[token] = encode_twin(parse_twin_token(token, lineno))
-            quad = (lookup(tokens[0]), lookup(tokens[1]), lookup(tokens[2]), lookup(tokens[3]))
+            quad = tuple(_twin_id(twin_ids, token, lineno) for token in tokens[:4])
         corners += quad
         try:
             source = int(tokens[4][len("src="):])

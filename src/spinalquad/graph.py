@@ -8,19 +8,13 @@ byte-reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 Edge = tuple[int, int]
 
 
 class ParseError(ValueError):
     """Malformed text input; the message names the offending line."""
-
-
-def _normalize_edge(u: int, v: int) -> Edge:
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
 
 
 class Graph:
@@ -36,7 +30,15 @@ class Graph:
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         vs = {int(v) for v in vertices}
-        es = {_normalize_edge(int(u), int(v)) for u, v in edges}
+        es: set[Edge] = set()
+        for u, v in edges:
+            u, v = int(u), int(v)
+            if u < v:
+                es.add((u, v))
+            elif v < u:
+                es.add((v, u))
+            else:
+                raise ValueError(f"self-loop at vertex {u}")
         for u, v in es:
             vs.add(u)
             vs.add(v)
@@ -64,9 +66,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
-
-    def has_vertex(self, v: int) -> bool:
-        return v in self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj.get(u, ())
@@ -124,32 +123,16 @@ def cycle_rank(g: Graph) -> int:
     return len(g.edges) - len(g.vertices) + len(components(g))
 
 
-def spanning_forest(g: Graph) -> tuple[Edge, ...]:
-    """Edges of a maximal acyclic subgraph, chosen deterministically.
+def _records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The tokenizer of every text format.
 
-    Breadth-first from the smallest vertex of each component, scanning
-    neighbors in ascending order. The number of co-forest edges equals
-    cycle_rank(g).
+    Yields (line number, whitespace-split tokens) for each line that
+    still has a token once its ``#`` comment is cut.
     """
-    seen: set[int] = set()
-    tree: list[Edge] = []
-    for root in g.vertices:
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for u in g.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    tree.append(_normalize_edge(v, u))
-                    queue.append(u)
-    return tuple(sorted(tree))
-
-
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
 
 
 def _parse_id(token: str, lineno: int) -> int:
@@ -162,6 +145,41 @@ def _parse_id(token: str, lineno: int) -> int:
     return value
 
 
+def _read_edges(text: str, read_id: Callable[[str, int], int], noun: str) -> Graph:
+    """The ``.edges`` reader for both vertex dialects.
+
+    ``v <noun>`` declares a vertex and ``<noun> <noun>`` an edge; each
+    token becomes an id through ``read_id(token, lineno)``, which
+    raises ParseError on a bad one. Self-loops are refused here, with
+    their line; ``Graph`` orders each edge's endpoints.
+    """
+    vertices: list[int] = []
+    edges: list[Edge] = []
+    for lineno, tokens in _records(text):
+        if tokens[0] == "v":
+            if len(tokens) != 2:
+                raise ParseError(f"line {lineno}: vertex declaration needs exactly one {noun}")
+            vertices.append(read_id(tokens[1], lineno))
+        elif len(tokens) == 2:
+            u = read_id(tokens[0], lineno)
+            v = read_id(tokens[1], lineno)
+            if u == v:
+                at = f"vertex {u}" if noun == "id" else tokens[0]
+                raise ParseError(f"line {lineno}: self-loop at {at}")
+            edges.append((u, v))
+        else:
+            raise ParseError(f"line {lineno}: expected 'v <{noun}>' or '<{noun}> <{noun}>'")
+    return Graph(vertices, edges)
+
+
+def _write_edges(g: Graph, token: Mapping[int, str]) -> str:
+    """The ``.edges`` writer for both vertex dialects; ``token`` maps
+    each vertex of ``g`` to its text, built once per vertex."""
+    lines = [f"v {token[v]}" for v in g.isolated_vertices()]
+    lines.extend(f"{token[u]} {token[v]}" for u, v in g.edges)
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the ``.edges`` text format.
 
@@ -170,30 +188,9 @@ def parse_edge_list(text: str) -> Graph:
     Duplicates collapse; malformed lines, self-loops and negative ids
     raise ParseError naming the line.
     """
-    vertices: set[int] = set()
-    edges: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "v":
-            if len(tokens) != 2:
-                raise ParseError(f"line {lineno}: vertex declaration needs exactly one id")
-            vertices.add(_parse_id(tokens[1], lineno))
-        elif len(tokens) == 2:
-            u = _parse_id(tokens[0], lineno)
-            v = _parse_id(tokens[1], lineno)
-            if u == v:
-                raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-            edges.add(_normalize_edge(u, v))
-        else:
-            raise ParseError(f"line {lineno}: expected 'v <id>' or '<id> <id>'")
-    return Graph(vertices, edges)
+    return _read_edges(text, _parse_id, "id")
 
 
 def format_edge_list(g: Graph) -> str:
     """Emit the ``.edges`` format; parse_edge_list round-trips it."""
-    lines = [f"v {v}" for v in g.isolated_vertices()]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _write_edges(g, {v: str(v) for v in g.vertices})

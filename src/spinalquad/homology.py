@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, NamedTuple
 
-from .graph import Graph, ParseError, _strip_comment
+from .graph import Graph, ParseError, _records
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -290,12 +290,9 @@ def parse_complex(text: str) -> SimplicialComplex:
     vertices: set[int] = set()
     edges: set[Edge] = set()
     triangles: set[Triangle] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
+    for lineno, tokens in _records(text):
         try:
-            ids = [int(tok) for tok in line.split()]
+            ids = [int(tok) for tok in tokens]
         except ValueError:
             raise ParseError(f"line {lineno}: expected decimal integers") from None
         if any(v < 0 for v in ids):

@@ -13,10 +13,12 @@ spine id. In text formats a twin is written ``<id>.0`` or ``<id>.1``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
-from .graph import Graph, ParseError, _strip_comment
+from .graph import Graph, ParseError, _read_edges, _write_edges
 
 
 class TwinVertex(NamedTuple):
@@ -30,11 +32,6 @@ def encode_twin(tv: TwinVertex) -> int:
 
 def decode_twin(x: int) -> TwinVertex:
     return TwinVertex(x // 2, x % 2)
-
-
-def project(tv: TwinVertex) -> int:
-    """Spine vertex a twin came from."""
-    return tv.spine_id
 
 
 def twin_token(tv: TwinVertex) -> str:
@@ -53,6 +50,20 @@ def parse_twin_token(token: str, lineno: int | None = None) -> TwinVertex:
     if spine_id < 0:
         raise ParseError(f"{where}negative vertex id in twin token {token!r}")
     return TwinVertex(spine_id, int(tail))
+
+
+def _twin_tokens(ids: Iterable[int]) -> dict[int, str]:
+    """The token of each encoded twin id, built once per id."""
+    return {x: f"{x >> 1}.{x & 1}" for x in ids}
+
+
+def _twin_id(ids: dict[str, int], token: str, lineno: int) -> int:
+    """The encoded id of a twin token; ``ids`` memoises each distinct
+    token so it is validated once."""
+    x = ids.get(token)
+    if x is None:
+        x = ids[token] = encode_twin(parse_twin_token(token, lineno))
+    return x
 
 
 @dataclass(frozen=True)
@@ -85,32 +96,9 @@ def interlace(spine: Graph) -> Interlacement:
 
 def format_twin_edge_list(graph: Graph) -> str:
     """Emit a twin-labeled graph in the ``.edges`` format."""
-    lines = [f"v {twin_token(decode_twin(v))}" for v in graph.isolated_vertices()]
-    lines.extend(
-        f"{twin_token(decode_twin(u))} {twin_token(decode_twin(v))}" for u, v in graph.edges
-    )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _write_edges(graph, _twin_tokens(graph.vertices))
 
 
 def parse_twin_edge_list(text: str) -> Graph:
     """Parse a twin-labeled ``.edges`` file into a graph over encoded ids."""
-    vertices: set[int] = set()
-    edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "v":
-            if len(tokens) != 2:
-                raise ParseError(f"line {lineno}: vertex declaration needs exactly one token")
-            vertices.add(encode_twin(parse_twin_token(tokens[1], lineno)))
-        elif len(tokens) == 2:
-            u = encode_twin(parse_twin_token(tokens[0], lineno))
-            v = encode_twin(parse_twin_token(tokens[1], lineno))
-            if u == v:
-                raise ParseError(f"line {lineno}: self-loop at {tokens[0]}")
-            edges.add((min(u, v), max(u, v)))
-        else:
-            raise ParseError(f"line {lineno}: expected 'v <token>' or '<token> <token>'")
-    return Graph(vertices, edges)
+    return _read_edges(text, partial(_twin_id, {}), "token")

@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .embed import IsolatedVertexError, QuadEmbedding, default_rotations, quadrangulate
+from .embed import QuadEmbedding, default_rotations, quadrangulate
 from .graph import Graph, components
 from .homology import BettiVector, betti_numbers, from_graph
 
@@ -95,7 +95,10 @@ class SurfaceReport:
 
     @property
     def hand(self) -> int | None:
-        """Total handles, absent unless every component certified."""
+        """Total handles, absent unless there is a component and every
+        component certified."""
+        if not self.components:
+            return None
         total = 0
         for c in self.components:
             if c.genus is None:
@@ -279,15 +282,12 @@ def thickening_report(spine: Graph) -> tuple[int, int]:
 
     Quadrangulates the spine with default rotations, runs the full
     surface certification, and reads the counts off the verdicts.
-    Raises IsolatedVertexError for bad spines and VerificationError if
-    certification fails, which would mean a bug in the construction.
+    Raises ValueError for the empty spine, IsolatedVertexError for bad
+    spines and VerificationError if certification fails, which would
+    mean a bug in the construction.
     """
-    if spine.isolated_vertices():
-        raise IsolatedVertexError(f"vertex {spine.isolated_vertices()[0]} is isolated")
     report = verify_surface(quadrangulate(spine, default_rotations(spine)))
-    # The empty spine thickens to the empty surface, with no components.
-    certified = report.ok or not spine.vertices
-    if not certified or report.hand is None:
+    if not report.ok or report.hand is None:
         raise VerificationError("constructed embedding failed surface certification")
     return report.comp, report.hand
 

@@ -54,6 +54,14 @@ def test_quadrangulate_then_verify(k3_quad, capsys):
     assert "comp=1 hand=1 ok=true" in out
 
 
+@pytest.mark.parametrize("command", ["quadrangulate", "thicken"])
+def test_empty_spine_is_refused(tmp_path, capsys, command):
+    empty = tmp_path / "empty.edges"
+    empty.write_text("# no vertices\n")
+    assert run([command, "--in", str(empty)]) == 2
+    assert capsys.readouterr() == ("", "error: the spine has no vertices\n")
+
+
 def test_quadrangulate_refuses_isolated_vertex(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("0 1\nv 5\n")
@@ -75,7 +83,7 @@ def test_verify_fails_a_header_only_file(tmp_path, capsys):
     path = tmp_path / "empty.quad"
     path.write_text("quad 6 12 6 1\n")
     assert run(["verify", "--in", str(path)]) == 1
-    assert capsys.readouterr().out == "comp=0 hand=0 header=6,12,6,1 counted=0,0,0,0 ok=false\n"
+    assert capsys.readouterr().out == "comp=0 header=6,12,6,1 counted=0,0,0,0 ok=false\n"
 
 
 def test_verify_fails_when_a_component_is_dropped(tmp_path, capsys):

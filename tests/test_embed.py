@@ -98,6 +98,11 @@ def test_every_face_side_is_an_interlacement_edge():
             assert side in edges
 
 
+def test_empty_spine_refused():
+    with pytest.raises(ValueError, match="no vertices"):
+        quadrangulate(Graph())
+
+
 def test_isolated_vertex_refused_by_name():
     with pytest.raises(IsolatedVertexError, match="5"):
         quadrangulate(Graph(vertices=[5], edges=[(0, 1)]))

@@ -6,8 +6,11 @@ from spinalquad import (
     components,
     cycle_rank,
     format_edge_list,
+    parse_complex,
     parse_edge_list,
-    spanning_forest,
+    parse_quad,
+    parse_twin_edge_list,
+    parse_vertex_coloring,
 )
 
 
@@ -40,7 +43,6 @@ def test_neighbors_sorted_and_degrees():
     assert g.neighbors(0) == (1, 2, 3)
     assert g.degree(0) == 3
     assert g.degree(2) == 1
-    assert not g.has_vertex(9)
 
 
 def test_has_edge_symmetric():
@@ -76,20 +78,6 @@ def test_components_ordered_by_smallest_member():
 )
 def test_cycle_rank(edges, rank):
     assert cycle_rank(Graph(edges=edges)) == rank
-
-
-def test_spanning_forest_is_maximal_and_acyclic():
-    g = Graph(edges=[(i, j) for i in range(5) for j in range(i + 1, 5)])
-    forest = spanning_forest(g)
-    assert len(forest) == 4
-    assert set(forest) <= set(g.edges)
-    assert cycle_rank(Graph(vertices=g.vertices, edges=forest)) == 0
-
-
-def test_spanning_forest_spans_every_component():
-    g = Graph(vertices=[8], edges=[(0, 1), (1, 2), (0, 2), (5, 6)])
-    forest = spanning_forest(g)
-    assert len(forest) == len(g.vertices) - len(components(g))
 
 
 EDGE_FILE = """\
@@ -135,3 +123,47 @@ def test_parse_edge_list_rejects_malformed_lines(text):
 def test_parse_errors_name_the_line():
     with pytest.raises(ParseError, match="line 3"):
         parse_edge_list("0 1\n1 2\n2 banana\n")
+
+
+# Per text format: two well-formed lines, then one malformed line per
+# fault the format can have. A .quad side between the twins of one
+# vertex is left for the verifier, and a colouring has no edges, so
+# neither has a self-loop case.
+PARSERS = {
+    "edges": (parse_edge_list, ("0 1", "v 5"), {
+        "bad": "0 x", "arity": "0 1 2", "negative": "0 -1", "self_loop": "2 2",
+    }),
+    "twin_edges": (parse_twin_edge_list, ("0.0 1.1", "v 5.1"), {
+        "bad": "0.0 x", "arity": "0.0 1.0 2.0", "negative": "0.0 -1.0", "self_loop": "2.1 2.1",
+    }),
+    "complex": (parse_complex, ("0 1 2", "3"), {
+        "bad": "0 x", "arity": "0 1 2 3", "negative": "0 -1", "self_loop": "2 2",
+    }),
+    "quad": (parse_quad, ("quad 4 8 2 1", "0.0 1.0 0.1 1.1 src=0"), {
+        "bad": "0.0 x 0.1 1.1 src=0",
+        "arity": "0.0 1.0 0.1 src=0",
+        "negative": "0.0 -1.0 0.1 1.1 src=0",
+    }),
+    "coloring": (parse_vertex_coloring, ("colors 3", "0 2"), {
+        "bad": "0 x", "arity": "0 1 2", "negative": "0 -1",
+    }),
+}
+
+
+def with_preamble(first, second, last):
+    """``last`` as line 6, after a comment-only, a blank and a
+    whitespace-only line, ``first`` ended by CRLF and ``second``
+    tab-separated with a trailing comment."""
+    tabbed = second.replace(" ", "\t")
+    return f"# only a comment\n\n  \t \n{first}\r\n{tabbed}  # trailing comment\n{last}\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, fault",
+    [(fmt, fault) for fmt, (_, _, faults) in PARSERS.items() for fault in faults],
+)
+def test_parsers_name_the_line_after_comments_blanks_crlf_and_tabs(fmt, fault):
+    parse, (first, second), faults = PARSERS[fmt]
+    parse(with_preamble(first, second, second))
+    with pytest.raises(ParseError, match=r"^line 6: "):
+        parse(with_preamble(first, second, faults[fault]))

@@ -11,7 +11,6 @@ from spinalquad import (
     interlace,
     parse_twin_edge_list,
     parse_twin_token,
-    project,
     twin_token,
 )
 
@@ -23,7 +22,6 @@ def test_twin_encoding_round_trip():
         for copy in (0, 1):
             tv = TwinVertex(spine_id, copy)
             assert decode_twin(encode_twin(tv)) == tv
-            assert project(tv) == spine_id
 
 
 def test_twin_token_round_trip():

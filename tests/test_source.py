@@ -15,3 +15,25 @@ def test_no_module_relies_on_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert))
     assert found == []
+
+
+def test_only_records_splits_lines_and_cuts_comments():
+    # Every text format reads its lines through graph._records, so no
+    # other code may call splitlines, name a "#" or strip comments.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = {
+            inner
+            for node in tree.body
+            if path.name == "graph.py" and isinstance(node, ast.FunctionDef) and node.name == "_records"
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if node in allowed:
+                continue
+            named = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            hash_literal = isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.strip() == "#"
+            if named in ("splitlines", "_strip_comment") or hash_literal:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -102,11 +102,15 @@ def test_unverified_component_reports_no_genus():
         (Graph(edges=[(0, 1)]), (1, 0)),
         (complete_graph(4), (1, 3)),
         (Graph(edges=[(0, 1), (1, 2), (0, 2), (3, 4)]), (2, 1)),
-        (Graph(), (0, 0)),
     ],
 )
 def test_thickening_report_counts(spine, expected):
     assert thickening_report(spine) == expected
+
+
+def test_thickening_refuses_the_empty_spine():
+    with pytest.raises(ValueError, match="no vertices"):
+        thickening_report(Graph())
 
 
 def test_thickening_refuses_isolated_vertices():
