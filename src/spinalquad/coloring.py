@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .embed import QuadEmbedding
 from .graph import Graph, ParseError, _records
-from .interlace import Interlacement, TwinVertex, encode_twin
+from .interlace import Interlacement
 
 
 class ColoringError(ValueError):
@@ -272,11 +272,7 @@ def lift_coloring(inter: Interlacement, coloring: VertexColoring) -> VertexColor
     report = verify_proper_vertices(inter.spine, coloring)
     if not report.ok:
         raise ColoringError(f"spine coloring improper on edge {report.violation}")
-    lifted = {
-        encode_twin(TwinVertex(v, c)): coloring.colors[v]
-        for v in inter.spine.vertices
-        for c in (0, 1)
-    }
+    lifted = {2 * v + c: coloring.colors[v] for v in inter.spine.vertices for c in (0, 1)}
     return VertexColoring(colors=lifted, palette=coloring.palette)
 
 
@@ -300,10 +296,7 @@ def chromatic_equality_check(
     chi, witness = chromatic_number_exact(inter.spine, cap=cap)
     lifted = lift_coloring(inter, witness)
     lift_proper = verify_proper_vertices(inter.graph, lifted).ok
-    contains = all(
-        inter.graph.has_edge(encode_twin(TwinVertex(u, 0)), encode_twin(TwinVertex(v, 0)))
-        for u, v in inter.spine.edges
-    )
+    contains = all(inter.graph.has_edge(2 * u, 2 * v) for u, v in inter.spine.edges)
     return ChromaticEqualityReport(
         ok=(lift_proper and contains),
         chromatic_number=chi,
@@ -339,7 +332,7 @@ def parse_vertex_coloring(text: str) -> VertexColoring:
         if any("=" in token for token in tokens):
             continue
         if tokens[0] == "colors":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(f"line {lineno}: expected 'colors <k>'")
             palette = int(tokens[1])
             continue

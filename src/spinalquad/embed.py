@@ -20,11 +20,10 @@ surface module re-certifies every output combinatorially.
 
 An embedding is stored flat: the spine, a ``corners`` tuple holding
 four encoded twin ids (``2 * spine_id + copy``) per face, and a
-``sources`` tuple holding one source id per face. ``faces`` (QuadFace
-records over TwinVertex corners) and ``interlacement`` are read-only
-views derived from those on access, for callers that want records or
-the doubled graph; building, printing, parsing and verifying never
-need either.
+``sources`` tuple holding one source id per face. ``faces`` (the
+corners grouped four to a face) and ``interlacement`` are read-only
+views derived from those on access; building, printing, parsing and
+verifying never need either.
 
 Counting consequences, for every rotation system: the face list has
 2E faces over the 2V vertices and 4E edges of the interlacement, and
@@ -34,20 +33,11 @@ every interlacement edge lies on exactly two face sides.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 from .graph import Graph, ParseError, _records, components
-from .interlace import (
-    Interlacement,
-    TwinVertex,
-    _twin_id,
-    _twin_tokens,
-    decode_twin,
-    encode_twin,
-    interlace,
-)
+from .interlace import Interlacement, _tokens_of, _twin_id, interlace
 
 # Cyclic neighbor order per spine vertex; each value is a permutation
 # of the vertex's neighbor tuple.
@@ -60,60 +50,6 @@ class IsolatedVertexError(ValueError):
 
 class RotationError(ValueError):
     """A rotation system does not match the spine's neighbor sets."""
-
-
-Corners = tuple[TwinVertex, TwinVertex, TwinVertex, TwinVertex]
-
-
-@dataclass(frozen=True)
-class QuadFace:
-    """One quadrilateral, as a cyclic corner sequence plus its source.
-
-    For constructed faces the corners start at the source's primed
-    twin, so corners 0 and 2 are the source's twins. Faces loaded from
-    a file keep whatever corner rotation the file used.
-    """
-
-    corners: Corners
-    source: int
-
-    def sides(self) -> tuple[tuple[int, int], ...]:
-        """The four boundary edges as undirected encoded pairs."""
-        ids = [encode_twin(c) for c in self.corners]
-        return tuple(
-            (min(a, b), max(a, b)) for a, b in zip(ids, ids[1:] + ids[:1])
-        )
-
-
-class FaceView(Sequence):
-    """The faces of an embedding as QuadFace records, made on access.
-
-    Length comes from the flat arrays without building any record.
-    """
-
-    __slots__ = ("_corners", "_sources")
-
-    def __init__(self, corners: tuple[int, ...], sources: tuple[int, ...]):
-        self._corners = corners
-        self._sources = sources
-
-    def __len__(self) -> int:
-        return len(self._sources)
-
-    def __getitem__(self, index):
-        picked = range(len(self._sources))[index]
-        if isinstance(picked, range):
-            return tuple(self._face(i) for i in picked)
-        return self._face(picked)
-
-    def _face(self, i: int) -> QuadFace:
-        ids = self._corners[4 * i : 4 * i + 4]
-        return QuadFace(corners=tuple(map(decode_twin, ids)), source=self._sources[i])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True)
@@ -140,15 +76,13 @@ class QuadEmbedding:
             raise ValueError("negative twin id among the corners")
 
     @property
-    def faces(self) -> FaceView:
-        return FaceView(self.corners, self.sources)
+    def faces(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The corners grouped four to a face, built on each access."""
+        return tuple(zip(*[iter(self.corners)] * 4))
 
     @cached_property
     def interlacement(self) -> Interlacement:
         return interlace(self.spine)
-
-    def spine_components(self) -> list[tuple[int, ...]]:
-        return components(self.spine)
 
 
 def default_rotations(spine: Graph) -> RotationSystem:
@@ -219,9 +153,9 @@ def format_quad(q: QuadEmbedding) -> str:
     line per face: four corner tokens followed by ``src=<id>``.
     """
     spine = q.spine
-    ncomp = len(q.spine_components())
+    ncomp = len(components(spine))
     lines = [f"quad {2 * len(spine.vertices)} {4 * len(spine.edges)} {len(q.sources)} {ncomp}"]
-    token = _twin_tokens(set(q.corners))
+    token = _tokens_of(set(q.corners))
     ids = iter(map(token.__getitem__, q.corners))
     for source, a, b, c, d in zip(q.sources, ids, ids, ids, ids):
         lines.append(f"{a} {b} {c} {d} src={source}")

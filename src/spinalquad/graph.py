@@ -127,9 +127,13 @@ def _records(text: str) -> Iterator[tuple[int, list[str]]]:
     """The tokenizer of every text format.
 
     Yields (line number, whitespace-split tokens) for each line that
-    still has a token once its ``#`` comment is cut.
+    still has a token once its ``#`` comment is cut. Only ``\n``,
+    ``\r\n`` and ``\r`` end a line; ``str.splitlines`` would also end
+    one at form feeds and other separators, turning comment text into
+    data.
     """
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         tokens = line.split("#", 1)[0].split()
         if tokens:
             yield lineno, tokens

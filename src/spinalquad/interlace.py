@@ -16,53 +16,31 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 from .graph import Graph, ParseError, _read_edges, _write_edges
 
 
-class TwinVertex(NamedTuple):
-    spine_id: int
-    copy: int  # 0 = primed, 1 = double-primed
-
-
-def encode_twin(tv: TwinVertex) -> int:
-    return 2 * tv.spine_id + tv.copy
-
-
-def decode_twin(x: int) -> TwinVertex:
-    return TwinVertex(x // 2, x % 2)
-
-
-def twin_token(tv: TwinVertex) -> str:
-    return f"{tv.spine_id}.{tv.copy}"
-
-
-def parse_twin_token(token: str, lineno: int | None = None) -> TwinVertex:
-    where = f"line {lineno}: " if lineno is not None else ""
-    head, sep, tail = token.partition(".")
-    if not sep or tail not in ("0", "1"):
-        raise ParseError(f"{where}expected twin token '<id>.0' or '<id>.1', got {token!r}")
-    try:
-        spine_id = int(head)
-    except ValueError:
-        raise ParseError(f"{where}expected decimal id in twin token {token!r}") from None
-    if spine_id < 0:
-        raise ParseError(f"{where}negative vertex id in twin token {token!r}")
-    return TwinVertex(spine_id, int(tail))
-
-
-def _twin_tokens(ids: Iterable[int]) -> dict[int, str]:
+def _tokens_of(ids: Iterable[int]) -> dict[int, str]:
     """The token of each encoded twin id, built once per id."""
     return {x: f"{x >> 1}.{x & 1}" for x in ids}
 
 
 def _twin_id(ids: dict[str, int], token: str, lineno: int) -> int:
-    """The encoded id of a twin token; ``ids`` memoises each distinct
-    token so it is validated once."""
+    """The encoded id of a twin token ``<id>.0`` or ``<id>.1``; ``ids``
+    memoises each distinct token so it is validated once."""
     x = ids.get(token)
-    if x is None:
-        x = ids[token] = encode_twin(parse_twin_token(token, lineno))
+    if x is not None:
+        return x
+    head, sep, tail = token.partition(".")
+    if not sep or tail not in ("0", "1"):
+        raise ParseError(f"line {lineno}: expected twin token '<id>.0' or '<id>.1', got {token!r}")
+    try:
+        spine_id = int(head)
+    except ValueError:
+        raise ParseError(f"line {lineno}: expected decimal id in twin token {token!r}") from None
+    if spine_id < 0:
+        raise ParseError(f"line {lineno}: negative vertex id in twin token {token!r}")
+    x = ids[token] = 2 * spine_id + int(tail)
     return x
 
 
@@ -84,7 +62,7 @@ def interlace(spine: Graph) -> Interlacement:
     Isolated spine vertices are permitted and yield two isolated
     twins each.
     """
-    vertices = [encode_twin(TwinVertex(v, c)) for v in spine.vertices for c in (0, 1)]
+    vertices = [2 * v + c for v in spine.vertices for c in (0, 1)]
     edges = [
         (2 * u + a, 2 * v + b)
         for u, v in spine.edges
@@ -96,7 +74,7 @@ def interlace(spine: Graph) -> Interlacement:
 
 def format_twin_edge_list(graph: Graph) -> str:
     """Emit a twin-labeled graph in the ``.edges`` format."""
-    return _write_edges(graph, _twin_tokens(graph.vertices))
+    return _write_edges(graph, _tokens_of(graph.vertices))
 
 
 def parse_twin_edge_list(text: str) -> Graph:

@@ -2,8 +2,8 @@
 
 The oracles here are deliberately dumber than the library: exhaustive
 coloring search with no bounds, rational Gaussian elimination for
-matrix rank, and the three-pass surface verifier over QuadFace records
-that the one-pass flat verifier replaced. They exist to cross-check
+matrix rank, and the three-pass surface verifier over face quads that
+the one-pass flat verifier replaced. They exist to cross-check
 the clever implementations.
 """
 
@@ -19,11 +19,8 @@ from spinalquad import (
     Graph,
     QuadEmbedding,
     SimplicialComplex,
-    TwinVertex,
     components,
-    encode_twin,
     interlace,
-    twin_token,
 )
 
 
@@ -114,29 +111,34 @@ def mutate_quad_text(text: str, action: str, index: int = 0) -> str:
 
 def seed_quad_text(spine: Graph, rotations: dict[int, tuple[int, ...]]) -> str:
     """The ``.quad`` text of the record-based construction: faces as
-    TwinVertex tuples sorted by (source, corners), counts read off the
-    built interlacement graph."""
+    (spine id, copy) pairs sorted by (source, corners), counts read off
+    the built interlacement graph."""
     faces = []
     for v in spine.vertices:
         rot = rotations[v]
         for i in range(len(rot)):
             u, w = rot[i], rot[(i + 1) % len(rot)]
-            corners = (TwinVertex(v, 0), TwinVertex(u, 0), TwinVertex(v, 1), TwinVertex(w, 1))
+            corners = ((v, 0), (u, 0), (v, 1), (w, 1))
             faces.append((v, corners))
     faces.sort()
     graph = interlace(spine).graph
     ncomp = len(components(spine))
     lines = [f"quad {len(graph.vertices)} {len(graph.edges)} {len(faces)} {ncomp}"]
     for source, corners in faces:
-        lines.append(" ".join(twin_token(c) for c in corners) + f" src={source}")
+        lines.append(" ".join(f"{c[0]}.{c[1]}" for c in corners) + f" src={source}")
     return "\n".join(lines) + "\n"
 
 
+def quad_sides(quad: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The four sides of a face quad as undirected (low, high) pairs."""
+    return [(min(a, b), max(a, b)) for a, b in zip(quad, quad[1:] + quad[:1])]
+
+
 def oracle_face_adjacencies(q: QuadEmbedding) -> list[tuple[int, int, tuple[int, int]]]:
-    """Face pairs meeting an edge, read off QuadFace records."""
+    """Face pairs meeting an edge, read off the face quads."""
     by_side: dict[tuple[int, int], list[int]] = {}
-    for fi, face in enumerate(q.faces):
-        for side in face.sides():
+    for fi, quad in enumerate(q.faces):
+        for side in quad_sides(quad):
             by_side.setdefault(side, []).append(fi)
     pairs = {
         (min(i, j), max(i, j), side)
@@ -180,8 +182,9 @@ def _orientable(face_ids: list[int], q: QuadEmbedding) -> bool:
     # a flip assignment making the two traversals of every edge
     # opposite, by parity BFS over the face adjacency.
     side_faces: defaultdict[tuple[int, int], list[tuple[int, bool]]] = defaultdict(list)
+    faces = q.faces
     for fi in face_ids:
-        ids = [encode_twin(c) for c in q.faces[fi].corners]
+        ids = list(faces[fi])
         for a, b in zip(ids, ids[1:] + ids[:1]):
             side_faces[(min(a, b), max(a, b))].append((fi, a < b))
     constraints: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
@@ -213,9 +216,9 @@ def _orientable(face_ids: list[int], q: QuadEmbedding) -> bool:
 
 
 def oracle_verify_surface(q: QuadEmbedding) -> tuple[ComponentReport, ...]:
-    """Per-component verdicts of the three-pass verifier over QuadFace
-    records and the built interlacement graph: a main loop, then a
-    link pass and an orientation pass per component.
+    """Per-component verdicts of the three-pass verifier over face quads
+    and the built interlacement graph: a main loop, then a link pass
+    and an orientation pass per component.
 
     Components are those of the interlacement graph; a face belongs to
     the component of its first corner, which must lie in that graph.
@@ -228,10 +231,10 @@ def oracle_verify_surface(q: QuadEmbedding) -> tuple[ComponentReport, ...]:
             block_of[v] = bi
 
     edge_set = set(graph.edges)
+    faces = q.faces
     faces_by_block: list[list[int]] = [[] for _ in blocks]
-    for fi, face in enumerate(q.faces):
-        first = 2 * face.corners[0].spine_id + face.corners[0].copy
-        faces_by_block[block_of[first]].append(fi)
+    for fi, quad in enumerate(faces):
+        faces_by_block[block_of[quad[0]]].append(fi)
     edges_by_block: list[list[tuple[int, int]]] = [[] for _ in blocks]
     for e in graph.edges:
         edges_by_block[block_of[e[0]]].append(e)
@@ -245,8 +248,7 @@ def oracle_verify_surface(q: QuadEmbedding) -> tuple[ComponentReport, ...]:
         side_count: Counter[tuple[int, int]] = Counter()
         link_edges: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
         for fi in face_ids:
-            face = q.faces[fi]
-            ids = [2 * c.spine_id + c.copy for c in face.corners]
+            ids = list(faces[fi])
             if len(set(ids)) != 4:
                 faces_simple = False
             for j in range(4):

@@ -11,7 +11,6 @@ from spinalquad import (
     chromatic_number_exact,
     complete_graph,
     complete_minus_clique,
-    decode_twin,
     face_adjacencies,
     face_coloring_from_sources,
     format_face_coloring,
@@ -25,7 +24,7 @@ from spinalquad import (
     verify_proper_vertices,
 )
 
-from helpers import chromatic_brute, random_graph_no_isolated
+from helpers import chromatic_brute, quad_sides, random_graph_no_isolated
 
 
 def petersen() -> Graph:
@@ -115,7 +114,7 @@ def test_lift_gives_twins_equal_colors_and_stays_proper():
     lifted = lift_coloring(inter, VertexColoring(colors={0: 0, 1: 1, 2: 2}, palette=3))
     assert lifted.palette == 3
     for encoded, color in lifted.colors.items():
-        assert color == lifted.colors[2 * decode_twin(encoded).spine_id]
+        assert color == lifted.colors[2 * (encoded >> 1)]
     assert verify_proper_vertices(inter.graph, lifted).ok
 
 
@@ -151,8 +150,8 @@ def test_face_coloring_uses_source_colors_and_is_proper():
     chi, witness = chromatic_number_exact(spine)
     fc = face_coloring_from_sources(q, witness)
     assert fc.palette == chi == 3
-    for fi, face in enumerate(q.faces):
-        assert fc.colors[fi] == witness.colors[face.source]
+    for fi, source in enumerate(q.sources):
+        assert fc.colors[fi] == witness.colors[source]
     assert verify_proper_faces(q, fc).ok
 
 
@@ -176,7 +175,7 @@ def test_monochrome_faces_reported_with_shared_edge():
     report = verify_proper_faces(q, fc)
     assert not report.ok
     i, j, shared = report.violation
-    assert shared in set(q.faces[i].sides()) & set(q.faces[j].sides())
+    assert shared in set(quad_sides(q.faces[i])) & set(quad_sides(q.faces[j]))
 
 
 def test_missing_assignments_rejected():
@@ -192,7 +191,7 @@ def test_same_source_faces_never_adjacent():
     for seed in range(10):
         q = quadrangulate(random_graph_no_isolated(seed))
         for i, j, _ in face_adjacencies(q):
-            assert q.faces[i].source != q.faces[j].source
+            assert q.sources[i] != q.sources[j]
 
 
 COLOR_FILE = """\

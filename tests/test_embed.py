@@ -6,9 +6,7 @@ from spinalquad import (
     Graph,
     IsolatedVertexError,
     ParseError,
-    QuadFace,
     RotationError,
-    TwinVertex,
     VertexColoring,
     complete_graph,
     default_rotations,
@@ -17,16 +15,15 @@ from spinalquad import (
     parse_quad,
     permute_rotations,
     quadrangulate,
-    twin_token,
     verify_proper_faces,
     verify_surface,
 )
 
-from helpers import random_graph_no_isolated
+from helpers import quad_sides, random_graph_no_isolated
 
 
 def tv(spine_id, copy):
-    return TwinVertex(spine_id, copy)
+    return 2 * spine_id + copy
 
 
 def test_default_rotations_ascend():
@@ -50,7 +47,10 @@ def test_triangle_spine_face_list_is_frozen():
     corner. Each face reads (source twin 0, neighbor twin 0, source
     twin 1, next neighbor twin 1)."""
     q = quadrangulate(complete_graph(3))
-    got = [(tuple(twin_token(c) for c in f.corners), f.source) for f in q.faces]
+    got = [
+        (tuple(f"{x >> 1}.{x & 1}" for x in quad), source)
+        for quad, source in zip(q.faces, q.sources)
+    ]
     assert got == [
         (("0.0", "1.0", "0.1", "2.1"), 0),
         (("0.0", "2.0", "0.1", "1.1"), 0),
@@ -66,8 +66,8 @@ def test_path_spine_merges_leaf_faces():
     # the face count is still twice the edge count.
     q = quadrangulate(Graph(edges=[(0, 1), (1, 2)]))
     assert len(q.faces) == 4
-    leaf_faces = [f for f in q.faces if f.source in (0, 2)]
-    assert [f.corners for f in leaf_faces] == [
+    leaf_faces = [quad for quad, source in zip(q.faces, q.sources) if source in (0, 2)]
+    assert leaf_faces == [
         (tv(0, 0), tv(1, 0), tv(0, 1), tv(1, 1)),
         (tv(2, 0), tv(1, 0), tv(2, 1), tv(1, 1)),
     ]
@@ -85,16 +85,16 @@ def test_face_counts_track_spine_counts():
 def test_source_twins_sit_at_opposite_corners():
     for seed in range(12):
         q = quadrangulate(random_graph_no_isolated(seed))
-        for f in q.faces:
-            assert f.corners[0] == tv(f.source, 0)
-            assert f.corners[2] == tv(f.source, 1)
+        for quad, source in zip(q.faces, q.sources):
+            assert quad[0] == tv(source, 0)
+            assert quad[2] == tv(source, 1)
 
 
 def test_every_face_side_is_an_interlacement_edge():
     q = quadrangulate(random_graph_no_isolated(3))
     edges = set(q.interlacement.graph.edges)
-    for f in q.faces:
-        for side in f.sides():
+    for quad in q.faces:
+        for side in quad_sides(quad):
             assert side in edges
 
 
@@ -133,7 +133,7 @@ def test_quad_format_round_trip():
         rot = permute_rotations(default_rotations(spine), seed)
         q = quadrangulate(spine, rot)
         back = parse_quad(format_quad(q))
-        assert back.faces == q.faces
+        assert (back.corners, back.sources) == (q.corners, q.sources)
         assert back.spine == spine
         assert back.interlacement.graph == q.interlacement.graph
 
@@ -177,22 +177,19 @@ def test_parse_quad_rebuilds_spine_from_corners():
     )
     q = parse_quad(text)
     assert q.spine == Graph(edges=[(0, 1)])
-    assert q.faces[0] == QuadFace(
-        corners=(tv(0, 0), tv(1, 0), tv(0, 1), tv(1, 1)), source=0
-    )
+    assert q.faces[0] == (tv(0, 0), tv(1, 0), tv(0, 1), tv(1, 1))
+    assert q.sources == (0, 1)
 
 
 def test_disconnected_spine_supported():
     q = quadrangulate(Graph(edges=[(0, 1), (2, 3)]))
-    assert len(q.spine_components()) == 2
     assert len(q.faces) == 4
+    assert format_quad(q).splitlines()[0] == "quad 8 8 4 2"
+    report = verify_surface(q)
+    assert report.ok and report.comp == 2
 
 
 def test_surface_chain_builds_no_face_records_and_no_interlacement(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("QuadFace built on the flat surface path")
-
-    monkeypatch.setattr(QuadFace, "__init__", refuse)
     calls = []
     for name in ("interlace", "embed", "verify", "coloring", "cli"):
         module = importlib.import_module(f"spinalquad.{name}")
@@ -209,7 +206,7 @@ def test_surface_chain_builds_no_face_records_and_no_interlacement(monkeypatch):
     q = quadrangulate(spine, permute_rotations(default_rotations(spine), 5))
     back = parse_quad(format_quad(q))
     assert verify_surface(back).ok
-    assert len(back.faces) == 2 * len(spine.edges)
+    assert len(back.sources) == 2 * len(spine.edges)
     palette = len(spine.vertices)
     coloring = VertexColoring(colors={v: i for i, v in enumerate(spine.vertices)}, palette=palette)
     faces = face_coloring_from_sources(back, coloring)

@@ -125,6 +125,14 @@ def test_parse_errors_name_the_line():
         parse_edge_list("0 1\n1 2\n2 banana\n")
 
 
+def test_only_newline_crlf_and_cr_end_a_line():
+    # A form feed or NEL inside a comment stays comment text, and line
+    # numbers are the ones an editor shows.
+    assert parse_edge_list("0 1 # old edge was\x0c3 4\n").edges == ((0, 1),)
+    with pytest.raises(ParseError, match=r"^line 3: "):
+        parse_edge_list("0 1\r\n1 2 # note\x85 and \u2028 more\r2 banana\n")
+
+
 # Per text format: two well-formed lines, then one malformed line per
 # fault the format can have. A .quad side between the twins of one
 # vertex is left for the verifier, and a colouring has no edges, so
@@ -145,7 +153,7 @@ PARSERS = {
         "negative": "0.0 -1.0 0.1 1.1 src=0",
     }),
     "coloring": (parse_vertex_coloring, ("colors 3", "0 2"), {
-        "bad": "0 x", "arity": "0 1 2", "negative": "0 -1",
+        "bad": "0 x", "arity": "0 1 2", "negative": "0 -1", "header": "colors ²",
     }),
 }
 

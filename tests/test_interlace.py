@@ -3,37 +3,45 @@ import pytest
 from spinalquad import (
     Graph,
     ParseError,
-    TwinVertex,
     complete_graph,
-    decode_twin,
-    encode_twin,
     format_twin_edge_list,
     interlace,
+    parse_quad,
     parse_twin_edge_list,
-    parse_twin_token,
-    twin_token,
 )
 
 from helpers import random_graph_no_isolated
 
 
-def test_twin_encoding_round_trip():
-    for spine_id in range(40):
-        for copy in (0, 1):
-            tv = TwinVertex(spine_id, copy)
-            assert decode_twin(encode_twin(tv)) == tv
-
-
 def test_twin_token_round_trip():
-    assert twin_token(TwinVertex(7, 1)) == "7.1"
-    assert parse_twin_token("7.1") == TwinVertex(7, 1)
-    assert parse_twin_token("0.0") == TwinVertex(0, 0)
+    # ``<id>.<copy>`` reads as 2 * id + copy, in both twin formats.
+    assert parse_twin_edge_list("7.1 0.0\n").edges == ((0, 15),)
+    assert format_twin_edge_list(Graph(edges=[(0, 15)])) == "0.0 7.1\n"
+    q = parse_quad("quad 4 4 1 1\n0.0 1.0 0.1 1.1 src=0\n")
+    assert q.corners == (0, 2, 1, 3)
 
 
-@pytest.mark.parametrize("token", ["7", "7.2", "x.0", "7.", ".1", "-1.0", "7.1.0"])
+MALFORMED_TWINS = {
+    "7": "expected twin token '<id>.0' or '<id>.1', got '7'",
+    "7.2": "expected twin token '<id>.0' or '<id>.1', got '7.2'",
+    "x.0": "expected decimal id in twin token 'x.0'",
+    "7.": "expected twin token '<id>.0' or '<id>.1', got '7.'",
+    ".1": "expected decimal id in twin token '.1'",
+    "-1.0": "negative vertex id in twin token '-1.0'",
+    "7.1.0": "expected twin token '<id>.0' or '<id>.1', got '7.1.0'",
+}
+
+
+@pytest.mark.parametrize("token", MALFORMED_TWINS)
 def test_twin_token_rejects_malformed(token):
-    with pytest.raises(ParseError):
-        parse_twin_token(token)
+    # The same checks and messages in both twin formats, with the line.
+    message = MALFORMED_TWINS[token]
+    with pytest.raises(ParseError) as edges:
+        parse_twin_edge_list(f"0.0 1.0\n0.1 {token}\n")
+    assert str(edges.value) == f"line 2: {message}"
+    with pytest.raises(ParseError) as quad:
+        parse_quad(f"quad 4 4 2 1\n0.0 1.0 0.1 1.1 src=0\n1.0 {token} 1.1 0.1 src=1\n")
+    assert str(quad.value) == f"line 3: {message}"
 
 
 def test_interlacement_of_single_edge_is_a_four_cycle():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from spinalquad import (
     Graph,
+    ParseError,
     betti_numbers,
     chromatic_equality_check,
     components,
@@ -40,6 +41,69 @@ def spines(draw, max_vertices=8):
     )
     # Endpoint registration only, so no vertex is isolated.
     return Graph(edges=edges)
+
+
+# Tokens an edit may write into a .quad file: each kind of malformed
+# twin token; then well-formed and out-of-range twins, bare ids,
+# source labels good and bad, a header keyword and a comment mark.
+TWIN_FAULTS = ["7.2", "x.0", "-1.0", ".1", "7.", "7.1.0", "7"]
+FUZZ_TOKENS = [
+    "0.0", "1.1", "9.0", "123456.1", "x", "0", "-3", "²",
+    "src=0", "src=-1", "src=x", "src=", "src=99", "quad", "#",
+]
+
+
+@st.composite
+def edited_quad_texts(draw):
+    """The .quad text of a seeded spine after one to three edits, each
+    dropping a line or replacing (twice as likely), deleting or
+    inserting one token. A third of the edits hit the header; a written
+    token is a twin fault, a fuzz token, a token of the file or a small
+    count, a quarter of the time each."""
+    spine = draw(spines(max_vertices=5))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    q = quadrangulate(spine, permute_rotations(default_rotations(spine), seed))
+    lines = [line.split() for line in format_quad(q).splitlines()]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if not lines:
+            break
+        any_line = st.integers(min_value=0, max_value=len(lines) - 1)
+        i = draw(st.one_of(st.just(0), any_line, any_line))
+        edit = draw(st.sampled_from(["drop", "replace", "replace", "delete", "insert"]))
+        if edit == "drop":
+            del lines[i]
+            continue
+        tokens = lines[i]
+        j = draw(st.integers(min_value=0, max_value=max(len(tokens) - 1, 0)))
+        own = [t for line in lines for t in line] or FUZZ_TOKENS
+        word = draw(
+            st.one_of(
+                st.sampled_from(TWIN_FAULTS),
+                st.sampled_from(FUZZ_TOKENS),
+                st.sampled_from(own),
+                st.integers(min_value=0, max_value=30).map(str),
+            )
+        )
+        if edit == "insert":
+            tokens.insert(j, word)
+        elif tokens and edit == "replace":
+            tokens[j] = word
+        elif tokens:
+            del tokens[j]
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
+@given(edited_quad_texts())
+@settings(max_examples=300, deadline=None)
+def test_edited_quad_files_parse_or_refuse_and_never_pass_with_wrong_counts(text):
+    try:
+        q = parse_quad(text)
+    except ParseError as exc:
+        assert str(exc).startswith("line ") or str(exc) == "missing 'quad' header line"
+        return
+    report = verify_surface(q)
+    if report.counts != report.header:
+        assert not report.ok
 
 
 @st.composite
@@ -111,5 +175,5 @@ def test_edge_list_round_trip(spine):
 def test_quad_file_round_trip(spine, seed):
     q = quadrangulate(spine, permute_rotations(default_rotations(spine), seed))
     back = parse_quad(format_quad(q))
-    assert back.faces == q.faces
+    assert (back.corners, back.sources) == (q.corners, q.sources)
     assert back.spine == spine
