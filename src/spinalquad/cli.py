@@ -231,11 +231,8 @@ def run(argv: list[str]) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except ValueError as exc:
-        # Covers parse, recipe, coloring, rotation, and cap errors.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # Covers file, parse, recipe, coloring, rotation, and cap errors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

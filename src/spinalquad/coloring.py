@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 from .embed import QuadEmbedding
-from .graph import Graph, ParseError, _records
+from .graph import Graph, ParseError, _decimal, _records
 from .interlace import Interlacement
 
 
@@ -332,19 +332,14 @@ def parse_vertex_coloring(text: str) -> VertexColoring:
         if any("=" in token for token in tokens):
             continue
         if tokens[0] == "colors":
-            if len(tokens) != 2 or not tokens[1].isdecimal():
+            if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: expected 'colors <k>'")
-            palette = int(tokens[1])
+            palette = _decimal(tokens[1], lineno, "palette")
             continue
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected '<vertex> <color>'")
-        try:
-            vertex, color = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected decimal integers") from None
-        if vertex < 0 or color < 0:
-            raise ParseError(f"line {lineno}: negative id or color")
-        colors[vertex] = color
+        vertex = _decimal(tokens[0], lineno, "vertex id")
+        colors[vertex] = _decimal(tokens[1], lineno, "color")
     if palette is None:
         palette = max(colors.values()) + 1 if colors else 0
     try:

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Graph, ParseError, _records, components
+from .graph import Graph, ParseError, _decimal, _records, components
 from .interlace import Interlacement, _tokens_of, _twin_id, interlace
 
 # Cyclic neighbor order per spine vertex; each value is a permutation
@@ -184,10 +184,7 @@ def parse_quad(text: str) -> QuadEmbedding:
                 raise ParseError(f"line {lineno}: duplicate header")
             if len(tokens) != 5:
                 raise ParseError(f"line {lineno}: header needs 4 counts")
-            try:
-                v, e, f, c = (int(t) for t in tokens[1:])
-            except ValueError:
-                raise ParseError(f"line {lineno}: header counts must be integers") from None
+            v, e, f, c = (_decimal(t, lineno, "header count") for t in tokens[1:])
             header = (v, e, f, c)
             continue
         if len(tokens) != 5 or not tokens[4].startswith("src="):
@@ -198,13 +195,7 @@ def parse_quad(text: str) -> QuadEmbedding:
         if None in quad:
             quad = tuple(_twin_id(twin_ids, token, lineno) for token in tokens[:4])
         corners += quad
-        try:
-            source = int(tokens[4][len("src="):])
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed source label {tokens[4]!r}") from None
-        if source < 0:
-            raise ParseError(f"line {lineno}: negative source id")
-        sources.append(source)
+        sources.append(_decimal(tokens[4][len("src="):], lineno, "source id"))
     if header is None:
         raise ParseError("missing 'quad' header line")
 

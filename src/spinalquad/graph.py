@@ -51,7 +51,8 @@ class Graph:
         for u, v in self._edges:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        # Walking the sorted edges appends every neighbor list in ascending order.
+        self._adj: dict[int, tuple[int, ...]] = {v: tuple(ns) for v, ns in adj.items()}
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -139,14 +140,25 @@ def _records(text: str) -> Iterator[tuple[int, list[str]]]:
             yield lineno, tokens
 
 
+def _decimal(token: str, lineno: int, what: str) -> int:
+    """The reader of every integer token of every text format.
+
+    Only ASCII ``[0-9]+`` is a number, leading zeros included; ``int``
+    alone would also take a sign, ``_`` and non-ASCII digits, giving
+    one value several spellings. ``what`` names the slot in the error.
+    """
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(f"line {lineno}: {what} of {len(token)} digits is too long") from None
+    if token[:1] == "-" and token[1:].isascii() and token[1:].isdigit():
+        raise ParseError(f"line {lineno}: negative {what} {token}")
+    raise ParseError(f"line {lineno}: expected decimal {what}, got {token!r}")
+
+
 def _parse_id(token: str, lineno: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected decimal integer, got {token!r}") from None
-    if value < 0:
-        raise ParseError(f"line {lineno}: negative vertex id {value}")
-    return value
+    return _decimal(token, lineno, "vertex id")
 
 
 def _read_edges(text: str, read_id: Callable[[str, int], int], noun: str) -> Graph:

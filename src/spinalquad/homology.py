@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, NamedTuple
 
-from .graph import Graph, ParseError, _records
+from .graph import Graph, ParseError, _decimal, _records
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -291,12 +291,7 @@ def parse_complex(text: str) -> SimplicialComplex:
     edges: set[Edge] = set()
     triangles: set[Triangle] = set()
     for lineno, tokens in _records(text):
-        try:
-            ids = [int(tok) for tok in tokens]
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected decimal integers") from None
-        if any(v < 0 for v in ids):
-            raise ParseError(f"line {lineno}: negative vertex id")
+        ids = [_decimal(tok, lineno, "vertex id") for tok in tokens]
         if len(ids) > 3:
             raise ParseError(f"line {lineno}: simplex of dimension > 2")
         if len(set(ids)) != len(ids):

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 
-from .graph import Graph, ParseError, _read_edges, _write_edges
+from .graph import Graph, ParseError, _decimal, _read_edges, _write_edges
 
 
 def _tokens_of(ids: Iterable[int]) -> dict[int, str]:
@@ -34,13 +34,7 @@ def _twin_id(ids: dict[str, int], token: str, lineno: int) -> int:
     head, sep, tail = token.partition(".")
     if not sep or tail not in ("0", "1"):
         raise ParseError(f"line {lineno}: expected twin token '<id>.0' or '<id>.1', got {token!r}")
-    try:
-        spine_id = int(head)
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected decimal id in twin token {token!r}") from None
-    if spine_id < 0:
-        raise ParseError(f"line {lineno}: negative vertex id in twin token {token!r}")
-    x = ids[token] = 2 * spine_id + int(tail)
+    x = ids[token] = 2 * _decimal(head, lineno, "vertex id in twin token") + (tail == "1")
     return x
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from spinalquad import (
@@ -43,6 +45,10 @@ def test_neighbors_sorted_and_degrees():
     assert g.neighbors(0) == (1, 2, 3)
     assert g.degree(0) == 3
     assert g.degree(2) == 1
+    # Vertex 4 is the higher end of some edges and the lower of others.
+    g = Graph(edges=[(4, 9), (2, 4), (7, 4), (4, 0), (5, 4), (4, 3)])
+    assert g.neighbors(4) == (0, 2, 3, 5, 7, 9)
+    assert g.neighbors(9) == (4,)
 
 
 def test_has_edge_symmetric():
@@ -133,27 +139,39 @@ def test_only_newline_crlf_and_cr_end_a_line():
         parse_edge_list("0 1\r\n1 2 # note\x85 and \u2028 more\r2 banana\n")
 
 
-# Per text format: two well-formed lines, then one malformed line per
-# fault the format can have. A .quad side between the twins of one
-# vertex is left for the verifier, and a colouring has no edges, so
-# neither has a self-loop case.
+# Per text format: three well-formed lines, then one malformed line per
+# fault the format can have, which takes the place of the third. A .quad
+# side between the twins of one vertex is left for the verifier, and a
+# colouring has no edges, so neither has a self-loop case. The
+# non_decimal lines put each spelling of NON_DECIMAL into each integer
+# slot of the format in turn.
+NON_DECIMAL = ("+1", "1_0", "-0", "\u0663", "\u00b2", "\uff11")  # ٣ ² １
+# More digits than int() converts by default (sys.get_int_max_str_digits).
+TOO_LONG = "1" * 5000
 PARSERS = {
-    "edges": (parse_edge_list, ("0 1", "v 5"), {
+    "edges": (parse_edge_list, ("0 1", "v 5", "v 5"), {
         "bad": "0 x", "arity": "0 1 2", "negative": "0 -1", "self_loop": "2 2",
+        "non_decimal": ("0 {}", "v {}"), "too_long": f"0 {TOO_LONG}",
     }),
-    "twin_edges": (parse_twin_edge_list, ("0.0 1.1", "v 5.1"), {
+    "twin_edges": (parse_twin_edge_list, ("0.0 1.1", "v 5.1", "v 5.1"), {
         "bad": "0.0 x", "arity": "0.0 1.0 2.0", "negative": "0.0 -1.0", "self_loop": "2.1 2.1",
+        "non_decimal": ("0.0 {}.1", "v {}.0"), "too_long": f"0.0 {TOO_LONG}.1",
     }),
-    "complex": (parse_complex, ("0 1 2", "3"), {
+    "complex": (parse_complex, ("0 1 2", "3", "3"), {
         "bad": "0 x", "arity": "0 1 2 3", "negative": "0 -1", "self_loop": "2 2",
+        "non_decimal": ("0 {} 2",), "too_long": f"0 {TOO_LONG}",
     }),
-    "quad": (parse_quad, ("quad 4 8 2 1", "0.0 1.0 0.1 1.1 src=0"), {
+    # The header comes last, so that a faulty header is the only one.
+    "quad": (parse_quad, ("0.0 1.0 0.1 1.1 src=0", "1.0 0.0 1.1 0.1 src=1", "quad 4 8 2 1"), {
         "bad": "0.0 x 0.1 1.1 src=0",
         "arity": "0.0 1.0 0.1 src=0",
         "negative": "0.0 -1.0 0.1 1.1 src=0",
+        "non_decimal": ("0.0 {}.0 0.1 1.1 src=0", "0.0 1.0 0.1 1.1 src={}", "quad {} 8 2 1", "quad 4 8 2 {}"),
+        "too_long": f"0.0 1.0 0.1 1.1 src={TOO_LONG}",
     }),
-    "coloring": (parse_vertex_coloring, ("colors 3", "0 2"), {
+    "coloring": (parse_vertex_coloring, ("colors 3", "0 2", "0 2"), {
         "bad": "0 x", "arity": "0 1 2", "negative": "0 -1", "header": "colors ²",
+        "non_decimal": ("{} 2", "0 {}", "colors {}"), "too_long": f"colors {TOO_LONG}",
     }),
 }
 
@@ -171,7 +189,13 @@ def with_preamble(first, second, last):
     [(fmt, fault) for fmt, (_, _, faults) in PARSERS.items() for fault in faults],
 )
 def test_parsers_name_the_line_after_comments_blanks_crlf_and_tabs(fmt, fault):
-    parse, (first, second), faults = PARSERS[fmt]
-    parse(with_preamble(first, second, second))
-    with pytest.raises(ParseError, match=r"^line 6: "):
-        parse(with_preamble(first, second, faults[fault]))
+    parse, (first, second, last), faults = PARSERS[fmt]
+    parse(with_preamble(first, second, last))
+    if fault != "non_decimal":
+        with pytest.raises(ParseError, match=r"^line 6: "):
+            parse(with_preamble(first, second, faults[fault]))
+        return
+    for template in faults[fault]:
+        for spelling in NON_DECIMAL:
+            with pytest.raises(ParseError, match=rf"^line 6: (expected decimal|negative) .*{re.escape(spelling)}"):
+                parse(with_preamble(first, second, template.format(spelling)))

@@ -24,10 +24,10 @@ def test_twin_token_round_trip():
 MALFORMED_TWINS = {
     "7": "expected twin token '<id>.0' or '<id>.1', got '7'",
     "7.2": "expected twin token '<id>.0' or '<id>.1', got '7.2'",
-    "x.0": "expected decimal id in twin token 'x.0'",
+    "x.0": "expected decimal vertex id in twin token, got 'x'",
     "7.": "expected twin token '<id>.0' or '<id>.1', got '7.'",
-    ".1": "expected decimal id in twin token '.1'",
-    "-1.0": "negative vertex id in twin token '-1.0'",
+    ".1": "expected decimal vertex id in twin token, got ''",
+    "-1.0": "negative vertex id in twin token -1",
     "7.1.0": "expected twin token '<id>.0' or '<id>.1', got '7.1.0'",
 }
 

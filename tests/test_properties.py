@@ -45,11 +45,14 @@ def spines(draw, max_vertices=8):
 
 # Tokens an edit may write into a .quad file: each kind of malformed
 # twin token; then well-formed and out-of-range twins, bare ids,
-# source labels good and bad, a header keyword and a comment mark.
+# source labels good and bad, a header keyword, a comment mark and
+# integers spelt with a sign, an underscore or non-ASCII digits.
 TWIN_FAULTS = ["7.2", "x.0", "-1.0", ".1", "7.", "7.1.0", "7"]
 FUZZ_TOKENS = [
     "0.0", "1.1", "9.0", "123456.1", "x", "0", "-3", "²",
     "src=0", "src=-1", "src=x", "src=", "src=99", "quad", "#",
+    "+1", "1_0", "-0", "٣", "１", "+1.0", "1_0.1", "-0.0", "٣.1", "².0", "１.1",
+    "src=+1", "src=1_0", "src=-0", "src=٣", "src=²", "src=１",
 ]
 
 

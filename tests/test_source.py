@@ -37,3 +37,25 @@ def test_only_records_splits_lines_and_cuts_comments():
             if named in ("splitlines", "_strip_comment") or hash_literal:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_decimal_reads_integer_tokens():
+    # Every integer token of every text format is read by graph._decimal,
+    # so no parser may call int() or a str digit test of its own.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        readers = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and (node.name.startswith("parse_") or node.name == "_twin_id")
+        ]
+        for reader in readers:
+            for node in ast.walk(reader):
+                calls_int = isinstance(node, ast.Call) and any(
+                    isinstance(arg, ast.Name) and arg.id == "int" for arg in (node.func, *node.args)
+                )
+                digit_test = getattr(node, "attr", None) in ("isdecimal", "isdigit", "isnumeric")
+                if calls_int or digit_test:
+                    found.append(f"{path.name}:{reader.name}:{node.lineno}")
+    assert found == []
