@@ -130,6 +130,11 @@ def _cmd_chroma(args: argparse.Namespace) -> int:
 def _cmd_facecolor(args: argparse.Namespace) -> int:
     q = parse_quad(_read(args.infile))
     coloring = parse_vertex_coloring(_read(args.coloring))
+    # A face coloring is only claimed on a surface that verify certifies.
+    if not verify_surface(q).ok:
+        message = "the quadrangulation fails verification; run verify for the report"
+        print(f"error: {message}", file=sys.stderr)
+        return 1
     faces = face_coloring_from_sources(q, coloring)
     report = verify_proper_faces(q, faces)
     sys.stdout.write(format_face_coloring(faces) + f"proper={_fmt_bool(report.ok)}\n")

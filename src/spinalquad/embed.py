@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Graph, ParseError, _decimal, _records, components
+from .graph import Graph, ParseError, _decimal, _neighbor_tuples, _records, components
 from .interlace import Interlacement, _tokens_of, _twin_id, interlace
 
 # Cyclic neighbor order per spine vertex; each value is a permutation
@@ -174,9 +174,11 @@ def parse_quad(text: str) -> QuadEmbedding:
     """
     corners: list[int] = []
     sources: list[int] = []
-    # Each distinct twin token is validated once.
+    # Each distinct twin token and each distinct ``src=`` token is
+    # validated once.
     twin_ids: dict[str, int] = {}
     lookup = twin_ids.get
+    source_ids: dict[str, int] = {}
     header: tuple[int, int, int, int] | None = None
     for lineno, tokens in _records(text):
         if tokens[0] == "quad":
@@ -195,17 +197,23 @@ def parse_quad(text: str) -> QuadEmbedding:
         if None in quad:
             quad = tuple(_twin_id(twin_ids, token, lineno) for token in tokens[:4])
         corners += quad
-        sources.append(_decimal(tokens[4][len("src="):], lineno, "source id"))
+        source = source_ids.get(tokens[4])
+        if source is None:
+            source = source_ids[tokens[4]] = _decimal(tokens[4][len("src="):], lineno, "source id")
+        sources.append(source)
     if header is None:
         raise ParseError("missing 'quad' header line")
 
+    # Ids are nonnegative _decimal values and self-sides are dropped,
+    # so the spine is built sorted, with no second check.
     ids = [x >> 1 for x in corners]
     columns = ids[0::4], ids[1::4], ids[2::4], ids[3::4]
     pairs: set[tuple[int, int]] = set()
     for j in range(4):
         pairs.update(zip(columns[j], columns[j - 3]))
-    spine_edges = {(u, w) if u < w else (w, u) for u, w in pairs if u != w}
-    spine = Graph(set(ids) | set(sources), spine_edges)
+    edges = tuple(sorted({(u, w) if u < w else (w, u) for u, w in pairs if u != w}))
+    vertices = tuple(sorted(set(ids).union(sources)))
+    spine = Graph._from_sorted(vertices, edges, _neighbor_tuples(vertices, edges))
     return QuadEmbedding(
         spine=spine, corners=tuple(corners), sources=tuple(sources), header=header
     )

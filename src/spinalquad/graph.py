@@ -47,12 +47,22 @@ class Graph:
                 raise ValueError(f"negative vertex id {v}")
         self._vertices: tuple[int, ...] = tuple(sorted(vs))
         self._edges: tuple[Edge, ...] = tuple(sorted(es))
-        adj: dict[int, list[int]] = {v: [] for v in self._vertices}
-        for u, v in self._edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        # Walking the sorted edges appends every neighbor list in ascending order.
-        self._adj: dict[int, tuple[int, ...]] = {v: tuple(ns) for v, ns in adj.items()}
+        self._adj: dict[int, tuple[int, ...]] = _neighbor_tuples(self._vertices, self._edges)
+
+    @classmethod
+    def _from_sorted(
+        cls,
+        vertices: tuple[int, ...],
+        edges: tuple[Edge, ...],
+        adj: dict[int, tuple[int, ...]],
+    ) -> Graph:
+        """A graph from parts its caller built valid, checking nothing:
+        distinct nonnegative vertices in ascending order, edges as
+        ascending unique ``(low, high)`` pairs over them, and ``adj``
+        mapping every vertex to its neighbors in ascending order."""
+        g = cls.__new__(cls)
+        g._vertices, g._edges, g._adj = vertices, edges, adj
+        return g
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -84,6 +94,19 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({len(self._vertices)} vertices, {len(self._edges)} edges)"
+
+
+def _neighbor_tuples(
+    vertices: tuple[int, ...], edges: tuple[Edge, ...]
+) -> dict[int, tuple[int, ...]]:
+    """Each vertex's neighbors, ascending, given ascending unique edges:
+    walking them in order appends every neighbor list in ascending
+    order."""
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return {v: tuple(ns) for v, ns in adj.items()}
 
 
 # A vertex partition is a list of disjoint blocks covering the vertex

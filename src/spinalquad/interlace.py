@@ -13,9 +13,11 @@ spine id. In text formats a twin is written ``<id>.0`` or ``<id>.1``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 from .graph import Graph, ParseError, _decimal, _read_edges, _write_edges
 
@@ -54,16 +56,23 @@ def interlace(spine: Graph) -> Interlacement:
     """Build the 2-fold interlacement of a spine.
 
     Isolated spine vertices are permitted and yield two isolated
-    twins each.
+    twins each. Both twins of v share one neighbor tuple, the twins of
+    v's spine neighbors in ascending order, and each twin's edges to
+    higher twins are emitted in that order, so vertices, edges and
+    neighbors all come out sorted and the graph is built as is.
     """
-    vertices = [2 * v + c for v in spine.vertices for c in (0, 1)]
-    edges = [
-        (2 * u + a, 2 * v + b)
-        for u, v in spine.edges
-        for a in (0, 1)
-        for b in (0, 1)
-    ]
-    return Interlacement(spine=spine, graph=Graph(vertices, edges))
+    vertices: list[int] = []
+    edges: list[tuple[int, int]] = []
+    adj: dict[int, tuple[int, ...]] = {}
+    for v in spine.vertices:
+        ns = spine.neighbors(v)
+        twins = tuple([x for u in ns for x in (2 * u, 2 * u + 1)])
+        higher = twins[2 * bisect_right(ns, v) :]
+        for x in (2 * v, 2 * v + 1):
+            vertices.append(x)
+            adj[x] = twins
+            edges += zip(repeat(x), higher)
+    return Interlacement(spine=spine, graph=Graph._from_sorted(tuple(vertices), tuple(edges), adj))
 
 
 def format_twin_edge_list(graph: Graph) -> str:

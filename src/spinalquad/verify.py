@@ -4,8 +4,16 @@ This module is the oracle side of the toolkit: it never looks at how
 an embedding was built, only at the flat corner array and the spine,
 and re-derives every property combinatorially. The interlacement is
 read off the spine rather than built: a side (a, b) is an edge iff
-(a >> 1, b >> 1) is a spine edge. One pass over the faces maps every
-side to its occurrences (face and direction); the checks, in order:
+(a >> 1, b >> 1) is a spine edge.
+
+The face sides are darts, one per face and position, grouped by side
+with one sort of packed ints (the dart technique of combinatorial
+maps; Lando & Zvonkin, Graphs on Surfaces and Their Applications,
+2004). A side met by exactly two darts, both in faces of the edge's
+own component, is a clean pair and is read in columns; every other
+side (another count, a non-edge, a dart in a face of another
+component) is read dart by dart in the same pass. The checks, in
+order:
 
   (a) every face is a simple 4-cycle of the interlacement;
   (b) every interlacement edge carries exactly two face sides;
@@ -16,8 +24,11 @@ side to its occurrences (face and direction); the checks, in order:
       corners at x, and union-find over the corners that share a link
       node must leave one class per vertex;
   (d) the faces admit boundary directions traversing each edge once in
-      each direction, found by union-find with parity over faces, one
-      constraint per two-sided edge;
+      each direction. The faces' own directions are tried first: a
+      component whose two-sided edges all run once each way needs no
+      flip. Only a component where that fails is searched, by
+      union-find with parity over its faces, one constraint per
+      two-sided edge;
   (e) per-component genus from the Euler characteristic.
 
 Genus is only ever reported for a component that passed closedness and
@@ -36,7 +47,10 @@ verified surface on the other, so neither side trusts the other.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice
+from operator import eq, not_
 from typing import NamedTuple
 
 from .embed import QuadEmbedding, default_rotations, quadrangulate
@@ -119,124 +133,150 @@ def verify_surface(q: QuadEmbedding) -> SurfaceReport:
     """
     spine, corners = q.spine, q.corners
     nfaces = len(q.sources)
-    n = max(max(corners, default=0) >> 1, max(spine.vertices, default=0)) + 1
-    width = 2 * n
-    spine_edges = {u * n + v for u, v in spine.edges}
+    ndarts = 4 * nfaces
+    block_of, block_sizes, block_edges = _blocks(spine)
+    nblocks = len(block_sizes)
+    stray = nblocks - 1
 
-    block_of: dict[int, int] = {}
-    block_sizes: list[int] = []
-    block_edges: list[int] = []
-    for comp in components(spine):
-        if spine.degree(comp[0]):
-            for v in comp:
-                block_of[2 * v] = block_of[2 * v + 1] = len(block_sizes)
-            block_sizes.append(2 * len(comp))
-            block_edges.append(2 * sum(spine.degree(v) for v in comp))
-        else:
-            for x in (2 * comp[0], 2 * comp[0] + 1):
-                block_of[x] = len(block_sizes)
-                block_sizes.append(1)
-                block_edges.append(0)
-    stray = len(block_sizes)
-    block_sizes.append(0)
-    block_edges.append(0)
-    nblocks = stray + 1
+    # Dart d = 4f + j runs along side j of face f, from corner d to
+    # corner fol[d] = 4f + (j + 1) % 4. A corner is an end of its
+    # twin's link only when the twin lies in the component of the
+    # corner's face: kept[d].
+    columns = [corners[j::4] for j in range(4)]
+    face_block = [block_of.get(x, stray) for x in columns[0]]
+    dart_block = chain.from_iterable(zip(face_block, face_block, face_block, face_block))
+    kept = [block_of.get(x, stray) == b for x, b in zip(corners, dart_block)]
+    parent = list(range(ndarts))
+    fol = parent[1:] + parent[:1]
+    fol[3::4] = parent[0::4]
 
-    # One pass over the faces: each undirected side (a, b), a <= b, as
-    # the key a * width + b, maps to its occurrences 4 * face + position;
-    # the side at position j runs from corner j to corner j + 1.
-    face_block = [block_of.get(x, stray) for x in corners[0::4]]
+    # A face that repeats two neighbouring corners has a side (x, x),
+    # which is never an edge; repeats across a diagonal are found here.
     simple = [True] * nblocks
     simple[stray] = False
-    sides: dict[int, list[int]] = {}
-    for f, b in enumerate(face_block):
-        k = 4 * f
-        quad = corners[k : k + 4]
-        if len(set(quad)) != 4:
+    for b, x0, x1, x2, x3 in zip(face_block, *columns):
+        if x0 == x2 or x1 == x3:
             simple[b] = False
-        for j in range(4):
-            x, y = quad[j], quad[j - 3]
-            key = x * width + y if x < y else y * width + x
-            if key in sides:
-                sides[key].append(k + j)
-            else:
-                sides[key] = [k + j]
 
-    # The link of twin x has a node (x, y) per side {x, y} at x and an
-    # edge per corner at x, joining the nodes of the corner's two sides.
-    # It is one cycle iff it is non-empty, every node meets exactly two
-    # corners, and joining the two corners at each node leaves one
-    # class. An edge with two sides in its component also joins its two
-    # faces, with parity 1 when both sides run the same way: a face
-    # flips all four of its sides at once, and a closed component is
-    # orientable iff the parities admit flips with every edge traversed
-    # once each way.
-    corner_parent = list(range(4 * nfaces))
-    face_parent = list(range(nfaces))
-    parity = [0] * nfaces
-    linked: set[int] = set()
-    link_ends = [0] * nblocks
-    merges = [0] * nblocks
-    links = [True] * nblocks
-    two_sided = [0] * nblocks
-    conflict = [False] * nblocks
-    for key, occurrences in sides.items():
-        a, b = divmod(key, width)
+    # One sort groups the darts by side. The side {x, y}, x <= y, has
+    # the key (x << bits) | y, and dart d sorts as (key << shift) | d.
+    # Shifted right by one and cleared of the copy bit of x, the key
+    # of each of the four interlacement edges over a spine edge (u, v)
+    # becomes (u << bits) | v.
+    bits = (2 * max(max(corners, default=0) >> 1, max(spine.vertices, default=0)) + 1).bit_length()
+    clear_copy = ~(1 << (bits - 1))
+    spine_keys = {(u << bits) | v for u, v in spine.edges}
+    shift = ndarts.bit_length()
+    mask = (1 << shift) - 1
+    nxt = [0] * ndarts
+    for j in range(4):
+        nxt[j::4] = columns[j - 3]
+    packed = [
+        (((x << bits) | y if x < y else (y << bits) | x) << shift) | d
+        for d, x, y in zip(parent, corners, nxt)
+    ]
+    # Each large column is dropped once read, which keeps the peak at
+    # a few lists of 4F entries.
+    del columns, nxt
+    packed.sort()
+
+    # Each run of one key holds the darts along one side. A clean pair
+    # is a run of two darts along an interlacement edge, both in faces
+    # of the edge's component: the columns first and second hold its
+    # darts. Any other run is read dart by dart further down.
+    cuts = [i for i, p, r in zip(count(1), packed, islice(packed, 1, None)) if p ^ r > mask]
+    bounds = [0, *cuts, ndarts] if ndarts else [0]
+    first: list[int] = []
+    second: list[int] = []
+    odd: list[tuple[int, int]] = []
+    for s, t in zip(bounds, islice(bounds, 1, None)):
+        if t - s == 2:
+            p = packed[s]
+            d, e = p & mask, packed[s + 1] & mask
+            if ((p >> (shift + 1)) & clear_copy) in spine_keys and kept[d] and kept[e]:
+                first.append(d)
+                second.append(e)
+                continue
+        odd.append((s, t))
+    del cuts, bounds
+
+    # Link nodes (twin x, side at x) join the two corners at x of the
+    # darts along the side: in a clean pair the tails meet when both
+    # darts run one way, and each tail meets the other's head when
+    # they run opposite ways. Column us[i] joins column vs[i].
+    opposite = [corners[d] != corners[e] for d, e in zip(first, second)]
+    us = first + [fol[d] for d in first]
+    vs = [fol[e] if o else e for e, o in zip(second, opposite)]
+    vs += [e if o else fol[e] for e, o in zip(second, opposite)]
+    pair_block = [face_block[d >> 2] for d in first]
+    two_sided = Counter(pair_block)
+
+    # Any other run: a side of another count, a non-edge, or a dart in
+    # a face of another component. Each dart keeps its corner at a and
+    # at b only where that twin is in the dart's face's component; a
+    # node with other than two ends breaks its link. An edge with two
+    # sides in its component adds one orientation constraint:
+    # (face, face, both sides run the same way, component).
+    bad_node = [False] * nblocks
+    constraints: list[tuple[int, int, bool, int]] = []
+    for s, t in odd:
+        key = packed[s] >> shift
+        a, b = key >> bits, key & ((1 << bits) - 1)
         ba, bb = block_of.get(a, stray), block_of.get(b, stray)
-        edge = (a >> 1) * n + (b >> 1) in spine_edges
-        # Per occurrence, its corner at a and at b, kept when that twin
-        # is in the face's component; forward when it runs from a to b.
+        edge = ((key >> 1) & clear_copy) in spine_keys
         at_a: list[int] = []
         at_b: list[int] = []
         forward: list[bool] = []
-        for k in occurrences:
-            fb = face_block[k >> 2]
+        for p in packed[s:t]:
+            d = p & mask
+            fb = face_block[d >> 2]
             if not edge:
                 simple[fb] = False
-            following = k + 1 if k & 3 != 3 else k - 3
-            ca, cb = (k, following) if corners[k] == a else (following, k)
-            if ba == fb:
+            ca, cb = (d, fol[d]) if corners[d] == a else (fol[d], d)
+            if fb == ba:
                 at_a.append(ca)
-                forward.append(ca == k)
-            if bb == fb:
+                forward.append(ca == d)
+            if fb == bb:
                 at_b.append(cb)
-        nodes = ((a, ba, at_a + at_b),) if a == b else ((a, ba, at_a), (b, bb, at_b))
-        for x, bx, ends in nodes:
-            if ends:
-                linked.add(x)
-                link_ends[bx] += len(ends)
-                if len(ends) != 2:
-                    links[bx] = False
-                    continue
-                r1, r2 = _root(corner_parent, ends[0]), _root(corner_parent, ends[1])
-                if r1 != r2:
-                    corner_parent[r1] = r2
-                    merges[bx] += 1
+        nodes = ((ba, at_a + at_b),) if a == b else ((ba, at_a), (bb, at_b))
+        for bx, ends in nodes:
+            if len(ends) == 2:
+                us.append(ends[0])
+                vs.append(ends[1])
+            elif ends:
+                bad_node[bx] = True
         if edge and len(at_a) == 2:
             two_sided[ba] += 1
-            want = 1 if forward[0] == forward[1] else 0
-            f1, p1 = _parity_root(face_parent, parity, at_a[0] >> 2)
-            f2, p2 = _parity_root(face_parent, parity, at_a[1] >> 2)
-            if f1 != f2:
-                face_parent[f1] = f2
-                parity[f1] = p1 ^ p2 ^ want
-            elif p1 ^ p2 != want:
-                conflict[ba] = True
-    for x, bx in block_of.items():
-        if x not in linked:
-            links[bx] = False
+            constraints.append((at_a[0] >> 2, at_a[1] >> 2, forward[0] == forward[1], ba))
+    del packed, odd
+
+    # Joined corners share a twin, so each class lies at one twin. The
+    # link of every twin is one cycle iff every node has two ends and
+    # each twin of the component has exactly one class of kept corners.
+    _join(parent, us, vs)
+    del us, vs
+    roots = [c for c in compress(range(ndarts), map(eq, parent, range(ndarts))) if kept[c]]
+    classes = Counter(face_block[c >> 2] for c in roots)
+    linked = Counter(block_of.get(x, stray) for x in {corners[c] for c in roots})
+
+    # The faces' own directions are the first flip witness: where every
+    # two-sided edge of a component runs once each way, no face needs a
+    # flip. Only the components where that fails are searched.
+    unwitnessed = set(compress(pair_block, map(not_, opposite)))
+    unwitnessed.update(b for _, _, same, b in constraints if same)
+    conflict = set()
+    if unwitnessed:
+        pairs = zip(first, second, opposite, pair_block)
+        searched = ((d >> 2, e >> 2, not o, b) for d, e, o, b in pairs if b in unwitnessed)
+        conflict = _conflicts(nfaces, chain(searched, constraints))
 
     face_counts = Counter(face_block)
     reports: list[ComponentReport] = []
     for b in range(nblocks if face_counts[stray] else stray):
-        # Each corner meets two link nodes of its own twin, so the
-        # component's corners number link_ends / 2, and its link classes
-        # that minus merges: one per twin iff every link is one cycle.
-        if link_ends[b] // 2 - merges[b] != block_sizes[b]:
-            links[b] = False
+        links = not bad_node[b] and classes[b] == linked[b] == block_sizes[b]
         edges_two_sided = two_sided[b] == block_edges[b]
-        closed = simple[b] and edges_two_sided and links[b]
-        orientable = closed and not conflict[b]
+        closed = simple[b] and edges_two_sided and links
+        orientable = closed and b not in conflict
         chi = block_sizes[b] - block_edges[b] + face_counts[b]
         genus: int | None = None
         if orientable and chi % 2 == 0 and chi <= 2:
@@ -249,7 +289,7 @@ def verify_surface(q: QuadEmbedding) -> SurfaceReport:
                 euler_characteristic=chi,
                 faces_simple=simple[b],
                 edges_two_sided=edges_two_sided,
-                links_single_cycle=links[b],
+                links_single_cycle=links,
                 orientable=orientable,
                 genus=genus,
             )
@@ -258,11 +298,57 @@ def verify_surface(q: QuadEmbedding) -> SurfaceReport:
     return SurfaceReport(components=tuple(reports), counts=counts, header=q.header)
 
 
-def _root(parent: list[int], x: int) -> int:
-    """Union-find root of x, halving the path."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
+def _blocks(spine: Graph) -> tuple[dict[int, int], list[int], list[int]]:
+    """The interlacement's components read off the spine: the block of
+    each twin, and each block's vertex and edge counts. A spine
+    component with an edge is one block; an isolated spine vertex
+    gives one block per twin. The last block, with no twin, collects
+    faces whose first corner lies outside the interlacement."""
+    block_of: dict[int, int] = {}
+    sizes: list[int] = []
+    edges: list[int] = []
+    for comp in components(spine):
+        if spine.degree(comp[0]):
+            for v in comp:
+                block_of[2 * v] = block_of[2 * v + 1] = len(sizes)
+            sizes.append(2 * len(comp))
+            edges.append(2 * sum(spine.degree(v) for v in comp))
+        else:
+            for x in (2 * comp[0], 2 * comp[0] + 1):
+                block_of[x] = len(sizes)
+                sizes.append(1)
+                edges.append(0)
+    sizes.append(0)
+    edges.append(0)
+    return block_of, sizes, edges
+
+
+def _join(parent: list[int], us: list[int], vs: list[int]) -> None:
+    """Union-find: join us[i] with vs[i] for every i, halving paths."""
+    for u, v in zip(us, vs):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        parent[u] = v
+
+
+def _conflicts(nfaces: int, constraints: Iterable[tuple[int, int, bool, int]]) -> set[int]:
+    """Components whose constraints (face, face, same direction,
+    component) admit no flips, by union-find with parity over faces:
+    two faces whose shared edge runs the same way must differ in flip."""
+    parent = list(range(nfaces))
+    parity = [0] * nfaces
+    conflict: set[int] = set()
+    for f1, f2, same, b in constraints:
+        r1, p1 = _parity_root(parent, parity, f1)
+        r2, p2 = _parity_root(parent, parity, f2)
+        if r1 != r2:
+            parent[r1] = r2
+            parity[r1] = p1 ^ p2 ^ same
+        elif p1 ^ p2 != same:
+            conflict.add(b)
+    return conflict
 
 
 def _parity_root(parent: list[int], parity: list[int], f: int) -> tuple[int, int]:

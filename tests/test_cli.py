@@ -205,6 +205,51 @@ def test_facecolor_rejects_improper_coloring(tmp_path, k3_quad, capsys):
     assert "improper" in capsys.readouterr().err
 
 
+K3_COLORS = "colors 3\n0 0\n1 1\n2 2\n"
+
+
+@pytest.mark.parametrize("damage", ["header_only", "wrong_header"])
+def test_facecolor_refuses_a_surface_that_fails_verify(tmp_path, k3_quad, capsys, damage):
+    colors = tmp_path / "k3.colors"
+    colors.write_text(K3_COLORS)
+    quad = tmp_path / "bad.quad"
+    if damage == "header_only":
+        quad.write_text("quad 6 12 6 1\n")
+    else:
+        quad.write_text(k3_quad.read_text().replace("quad 6 12 6 1\n", "quad 7 12 6 1\n"))
+    assert run(["verify", "--in", str(quad)]) == 1
+    capsys.readouterr()
+    assert run(["facecolor", "--in", str(quad), "--coloring", str(colors)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the quadrangulation fails verification; run verify for the report\n"
+
+
+def test_facecolor_output_on_a_certified_surface(tmp_path, k3_quad, capsys):
+    colors = tmp_path / "k3.colors"
+    colors.write_text(K3_COLORS)
+    assert run(["facecolor", "--in", str(k3_quad), "--coloring", str(colors)]) == 0
+    assert capsys.readouterr() == (
+        "colors 3\nf0 0\nf1 0\nf2 1\nf3 1\nf4 2\nf5 2\nproper=true\n",
+        "",
+    )
+
+
+def test_verify_reports_a_closed_non_orientable_surface(tmp_path, capsys):
+    # A Klein bottle over the triangle spine's interlacement.
+    quad = tmp_path / "klein.quad"
+    quad.write_text(
+        "quad 6 12 6 1\n"
+        "0.0 1.0 0.1 2.0 src=0\n0.0 1.0 2.0 1.1 src=0\n0.0 1.1 0.1 2.1 src=0\n"
+        "0.0 2.0 1.0 2.1 src=0\n0.1 1.0 2.1 1.1 src=0\n0.1 2.0 1.1 2.1 src=0\n"
+    )
+    assert run(["verify", "--in", str(quad)]) == 1
+    assert capsys.readouterr().out == (
+        "component=0 vertices=6 edges=12 faces=6 chi=0 closed=true orientable=false\n"
+        "comp=1 ok=false\n"
+    )
+
+
 def test_spine_subcommand_emits_requested_family(tmp_path, capsys):
     out = tmp_path / "spine.edges"
     assert run(["spine", "--genus", "0", "--chi", "2", "--vertices", "8", "--out", str(out)]) == 0

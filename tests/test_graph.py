@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -7,13 +8,21 @@ from spinalquad import (
     ParseError,
     components,
     cycle_rank,
+    default_rotations,
     format_edge_list,
+    format_quad,
+    format_twin_edge_list,
+    interlace,
     parse_complex,
     parse_edge_list,
     parse_quad,
     parse_twin_edge_list,
     parse_vertex_coloring,
+    permute_rotations,
+    quadrangulate,
 )
+
+from helpers import random_graph_no_isolated
 
 
 def test_edges_normalize_and_register_endpoints():
@@ -199,3 +208,49 @@ def test_parsers_name_the_line_after_comments_blanks_crlf_and_tabs(fmt, fault):
         for spelling in NON_DECIMAL:
             with pytest.raises(ParseError, match=rf"^line 6: (expected decimal|negative) .*{re.escape(spelling)}"):
                 parse(with_preamble(first, second, template.format(spelling)))
+
+
+def _assert_same_graph(got: Graph, want: Graph) -> None:
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
+    for v in want.vertices:
+        assert got.neighbors(v) == want.neighbors(v)
+
+
+def _shifted(g: Graph, offset: int) -> Graph:
+    return Graph([v + offset for v in g.vertices], [(u + offset, v + offset) for u, v in g.edges])
+
+
+def test_graphs_built_sorted_match_the_validating_constructor():
+    # interlace and parse_quad build their graphs sorted, unchecked;
+    # the same vertices and edges through Graph(...) must agree.
+    big = 10**12
+    split = 0
+    for seed in range(24):
+        rng = random.Random(seed)
+        spine = random_graph_no_isolated(seed, max_vertices=9)
+        if seed % 3 == 1:
+            spine = _shifted(spine, big)
+        if seed % 2:
+            spine = Graph(list(spine.vertices) + [big + 7 * seed, 5 * seed + 40], spine.edges)
+
+        twins = interlace(spine).graph
+        want = Graph(
+            [2 * v + c for v in spine.vertices for c in (0, 1)],
+            [(2 * u + a, 2 * v + b) for u, v in spine.edges for a in (0, 1) for b in (0, 1)],
+        )
+        _assert_same_graph(twins, want)
+        assert format_twin_edge_list(twins) == format_twin_edge_list(want)
+
+        # An isolated spine vertex has no face; it enters a .quad only
+        # as a face's src= label.
+        core = Graph(edges=spine.edges)
+        split += len(components(core)) > 1
+        rotations = permute_rotations(default_rotations(core), seed)
+        header, *faces = format_quad(quadrangulate(core, rotations)).splitlines()
+        lonely = big + 3 * seed + 1
+        i = rng.randrange(len(faces))
+        faces[i] = faces[i].rsplit("src=", 1)[0] + f"src={lonely}"
+        rebuilt = parse_quad("\n".join([header] + faces) + "\n").spine
+        _assert_same_graph(rebuilt, Graph(list(core.vertices) + [lonely], core.edges))
+    assert split > 0

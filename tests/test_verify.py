@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -231,3 +232,66 @@ def test_large_vertex_ids_verify_like_small_ones():
     report = verify_surface(parse_quad(text))
     assert report.ok and report.hand == 0
     assert report.components == verify_surface(quadrangulate(Graph(edges=[(0, 1)]))).components
+
+
+# The four closed, non-orientable complexes among the sets of six
+# 4-cycles of the triangle spine's interlacement (K_{2,2,2}): Klein
+# bottles, chi = 6 - 12 + 6 = 0. Faces are given as encoded twin ids.
+KLEIN_BOTTLES = [
+    ((0, 2, 1, 4), (0, 2, 4, 3), (0, 3, 1, 5), (0, 4, 2, 5), (1, 2, 5, 3), (1, 4, 3, 5)),
+    ((0, 2, 1, 4), (0, 2, 5, 3), (0, 3, 1, 5), (0, 4, 3, 5), (1, 2, 4, 3), (1, 4, 2, 5)),
+    ((0, 2, 1, 5), (0, 2, 4, 3), (0, 3, 1, 4), (0, 4, 3, 5), (1, 2, 5, 3), (1, 4, 2, 5)),
+    ((0, 2, 1, 5), (0, 2, 5, 3), (0, 3, 1, 4), (0, 4, 2, 5), (1, 2, 4, 3), (1, 4, 3, 5)),
+]
+
+
+def klein_bottle(faces) -> QuadEmbedding:
+    corners = tuple(x for face in faces for x in face)
+    sources = tuple(face[0] >> 1 for face in faces)
+    return QuadEmbedding(spine=complete_graph(3), corners=corners, sources=sources)
+
+
+@pytest.mark.parametrize("faces", KLEIN_BOTTLES)
+def test_klein_bottles_are_closed_but_not_orientable(faces):
+    q = klein_bottle(faces)
+    for embedding in (q, parse_quad(format_quad(q))):
+        report = verify_surface(embedding)
+        assert report.comp == 1 and report.header_ok
+        c = report.components[0]
+        assert (c.vertices, c.edges, c.faces, c.euler_characteristic) == (6, 12, 6, 0)
+        assert c.closed and not c.orientable
+        assert c.genus is None and report.hand is None and not report.ok
+        assert report.components == oracle_verify_surface(embedding)
+
+
+def reverse_faces(q: QuadEmbedding, faces) -> QuadEmbedding:
+    """The embedding with the corner walk of each listed face reversed."""
+    corners = list(q.corners)
+    for f in faces:
+        a, b, c, d = corners[4 * f : 4 * f + 4]
+        corners[4 * f : 4 * f + 4] = [a, d, c, b]
+    return QuadEmbedding(spine=q.spine, corners=tuple(corners), sources=q.sources)
+
+
+def traversed_twice_one_way(q: QuadEmbedding) -> bool:
+    """Whether some edge is traversed twice in the same direction, so
+    that the faces' own directions are no orientation."""
+    following = [q.corners[k + 1 if k % 4 != 3 else k - 3] for k in range(len(q.corners))]
+    return max(Counter(zip(q.corners, following)).values()) > 1
+
+
+def test_reversed_faces_leave_an_orientable_surface():
+    for seed in range(60):
+        rng = random.Random(seed)
+        spine = random_graph_no_isolated(seed, max_vertices=12)
+        q = quadrangulate(spine, permute_rotations(default_rotations(spine), seed))
+        assert not traversed_twice_one_way(q)
+        nfaces = len(q.sources)
+        flipped = reverse_faces(q, rng.sample(range(nfaces), rng.randint(1, min(3, nfaces - 1))))
+        assert traversed_twice_one_way(flipped)
+        for embedding in (flipped, parse_quad(format_quad(flipped))):
+            report = verify_surface(embedding)
+            assert report.ok, seed
+            assert report.hand == cycle_rank(spine)
+            assert [c.genus for c in report.components] == [c.genus for c in verify_surface(q).components]
+            assert report.components == oracle_verify_surface(embedding)
