@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .coloring import (
+    DEFAULT_VERTEX_CAP,
     chromatic_number_exact,
     face_coloring_from_sources,
     format_face_coloring,
@@ -199,7 +200,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chroma", help="exact chromatic number with a witness coloring")
     p.add_argument("--in", dest="infile", required=True, metavar="EDGES")
-    p.add_argument("--cap", type=int, default=24, help="exact-solver vertex cap (default 24)")
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_VERTEX_CAP,
+        help=f"exact-solver vertex cap (default {DEFAULT_VERTEX_CAP})",
+    )
     p.set_defaults(handler=_cmd_chroma)
 
     p = sub.add_parser("facecolor", help="source-based face coloring plus properness verdict")

@@ -2,9 +2,10 @@
 
 The solver is exact with a hard vertex cap: above the cap it refuses
 rather than fall back to a heuristic, so every number it reports is
-the true chromatic number. Below the cap it runs branch and bound
-between a greedy clique lower bound and a saturation-greedy upper
-bound.
+the true chromatic number. Below the cap it runs one iterative DSATUR
+branch and bound: its first leaf is the greedy coloring, each later
+leaf uses fewer colors, and it stops at a greedy clique lower bound or
+when the search tree is exhausted.
 
 A proper spine coloring lifts to the interlacement by giving both
 twins of a vertex the vertex's color, and pushes forward to faces of a
@@ -37,7 +38,11 @@ DEFAULT_VERTEX_CAP = 24
 
 
 def _check_palette(colors: Mapping[int, int], palette: int) -> None:
+    if not isinstance(palette, int):
+        raise ValueError(f"palette {palette!r} is not an int")
     for key, color in colors.items():
+        if not isinstance(color, int):
+            raise ValueError(f"color {color!r} of {key} is not an int")
         if not 0 <= color < palette:
             raise ValueError(f"color {color} of {key} outside palette of size {palette}")
 
@@ -163,63 +168,64 @@ def _greedy_clique(g: Graph) -> list[int]:
     return best
 
 
-def _saturation_greedy(g: Graph) -> dict[int, int]:
-    # Color the vertex with the most distinctly-colored neighbors
-    # first; ties broken by degree, then by id, for determinism.
-    colors: dict[int, int] = {}
-    neighbor_colors: dict[int, set[int]] = {v: set() for v in g.vertices}
+def _dsatur_search(g: Graph, lower: int) -> dict[int, int]:
+    # Branch and bound on one depth-first DSATUR tree (Brelaz, 1979):
+    # color the vertex with the most distinctly-colored neighbors first,
+    # ties broken by degree, then by lowest id. Colors go in ascending
+    # order, at most one past the highest in use (higher ones only
+    # relabel) and below the best palette found, so the first leaf is
+    # the greedy coloring and each later one is smaller. The path lives
+    # on an explicit stack; the search ends at the clique bound
+    # ``lower`` or when the tree is exhausted.
+    seen: dict[int, set[int]] = {v: set() for v in g.vertices}
+
+    def rank(u: int) -> tuple[int, int, int]:
+        return (len(seen[u]), g.degree(u), -u)
+
+    key = {v: rank(v) for v in g.vertices}
     uncolored = set(g.vertices)
-    while uncolored:
-        v = max(uncolored, key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u))
-        c = 0
-        while c in neighbor_colors[v]:
+    colors: dict[int, int] = {}
+    best: dict[int, int] = {}
+    best_size = len(g.vertices) + 1
+
+    def pick() -> int:
+        return max(uncolored, key=key.__getitem__)
+
+    # Frame: [vertex, next color to try, colors used above it, the
+    # neighbors its current color newly saturated].
+    stack: list[list] = [[pick(), 0, 0, []]]
+    while stack:
+        frame = stack[-1]
+        v, c, used, touched = frame
+        if v in colors:
+            old = colors.pop(v)
+            uncolored.add(v)
+            for u in touched:
+                seen[u].discard(old)
+                key[u] = rank(u)
+            touched.clear()
+        # A prefix that already uses the best palette cannot beat it.
+        limit = min(used + 1, best_size - 1) if used < best_size else 0
+        while c < limit and c in seen[v]:
             c += 1
+        if c >= limit:
+            stack.pop()
+            continue
+        frame[1] = c + 1
         colors[v] = c
         uncolored.discard(v)
         for u in g.neighbors(v):
-            if u in uncolored:
-                neighbor_colors[u].add(c)
-    return colors
-
-
-def _colorable_with(g: Graph, k: int) -> dict[int, int] | None:
-    # Backtracking k-colorability with saturation-first vertex choice
-    # and first-fresh-color symmetry breaking.
-    if k == 0:
-        return {} if not g.vertices else None
-    colors: dict[int, int] = {}
-    neighbor_colors: dict[int, set[int]] = {v: set() for v in g.vertices}
-
-    def pick() -> int | None:
-        remaining = [v for v in g.vertices if v not in colors]
-        if not remaining:
-            return None
-        return max(remaining, key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u))
-
-    def assign(v: int, used: int) -> bool:
-        # Trying colors beyond the first unused one only relabels.
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if c in neighbor_colors[v]:
-                continue
-            colors[v] = c
-            touched = []
-            for u in g.neighbors(v):
-                if u not in colors and c not in neighbor_colors[u]:
-                    neighbor_colors[u].add(c)
-                    touched.append(u)
-            nxt = pick()
-            if nxt is None or assign(nxt, max(used, c + 1)):
-                return True
-            del colors[v]
-            for u in touched:
-                neighbor_colors[u].discard(c)
-        return False
-
-    first = pick()
-    if first is None:
-        return {}
-    return dict(colors) if assign(first, 0) else None
+            if u in uncolored and c not in seen[u]:
+                seen[u].add(c)
+                key[u] = rank(u)
+                touched.append(u)
+        if uncolored:
+            stack.append([pick(), 0, max(used, c + 1), []])
+            continue
+        best, best_size = dict(colors), max(used, c + 1)
+        if best_size == lower:
+            break
+    return best
 
 
 def _canonicalize(g: Graph, colors: dict[int, int]) -> dict[int, int]:
@@ -251,15 +257,9 @@ def chromatic_number_exact(
     if not g.vertices:
         return 0, VertexColoring(colors={}, palette=0)
     lower = max(1, len(_greedy_clique(g)))
-    greedy = _saturation_greedy(g)
-    upper = max(greedy.values()) + 1
-    if lower == upper:
-        return upper, VertexColoring(colors=_canonicalize(g, greedy), palette=upper)
-    for k in range(lower, upper):
-        attempt = _colorable_with(g, k)
-        if attempt is not None:
-            return k, VertexColoring(colors=_canonicalize(g, attempt), palette=k)
-    return upper, VertexColoring(colors=_canonicalize(g, greedy), palette=upper)
+    colors = _dsatur_search(g, lower)
+    chi = max(colors.values()) + 1
+    return chi, VertexColoring(colors=_canonicalize(g, colors), palette=chi)
 
 
 def lift_coloring(inter: Interlacement, coloring: VertexColoring) -> VertexColoring:
@@ -283,9 +283,7 @@ class ChromaticEqualityReport(NamedTuple):
     contains_spine_copy: bool
 
 
-def chromatic_equality_check(
-    inter: Interlacement, cap: int = DEFAULT_VERTEX_CAP
-) -> ChromaticEqualityReport:
+def chromatic_equality_check(inter: Interlacement) -> ChromaticEqualityReport:
     """Certify that the interlacement's chromatic number equals the spine's.
 
     Upper bound: an optimal spine coloring lifts to a proper coloring
@@ -293,7 +291,7 @@ def chromatic_equality_check(
     primed copies carry an embedded copy of the spine, asserted by
     subgraph containment rather than by re-solving the larger graph.
     """
-    chi, witness = chromatic_number_exact(inter.spine, cap=cap)
+    chi, witness = chromatic_number_exact(inter.spine)
     lifted = lift_coloring(inter, witness)
     lift_proper = verify_proper_vertices(inter.graph, lifted).ok
     contains = all(inter.graph.has_edge(2 * u, 2 * v) for u, v in inter.spine.edges)

@@ -8,6 +8,7 @@ byte-reproducible.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping
 
 Edge = tuple[int, int]
@@ -22,17 +23,18 @@ class Graph:
 
     Vertices are arbitrary nonnegative integers, not necessarily
     contiguous. Edge endpoints are added to the vertex set
-    automatically; self-loops and negative ids are rejected, duplicate
-    edges collapse. Neighbor lists are kept in ascending order.
+    automatically; self-loops and negative ids are rejected, ids that
+    are not integers raise TypeError rather than being truncated,
+    duplicate edges collapse. Neighbor lists are kept in ascending order.
     """
 
     __slots__ = ("_vertices", "_edges", "_adj")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
-        vs = {int(v) for v in vertices}
+        vs = {operator.index(v) for v in vertices}
         es: set[Edge] = set()
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = operator.index(u), operator.index(v)
             if u < v:
                 es.add((u, v))
             elif v < u:

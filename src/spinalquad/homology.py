@@ -18,6 +18,7 @@ tuple, which makes every matrix, rank, and Betti vector reproducible.
 from __future__ import annotations
 
 import heapq
+import operator
 from typing import Iterable, NamedTuple
 
 from .graph import Graph, ParseError, _decimal, _records
@@ -37,7 +38,8 @@ class SimplicialComplex:
 
     The constructor completes the downward closure: every edge of every
     triangle and every endpoint of every edge is added automatically.
-    Simplices with repeated vertices are rejected.
+    Simplices with repeated vertices are rejected; ids that are not
+    integers raise TypeError rather than being truncated.
     """
 
     __slots__ = ("_vertices", "_edges", "_triangles")
@@ -48,17 +50,17 @@ class SimplicialComplex:
         edges: Iterable[tuple[int, int]] = (),
         triangles: Iterable[tuple[int, int, int]] = (),
     ):
-        vs = {int(v) for v in vertices}
+        vs = {operator.index(v) for v in vertices}
         es: set[Edge] = set()
         ts: set[Triangle] = set()
         for t in triangles:
-            tt = tuple(sorted(int(x) for x in t))
+            tt = tuple(sorted(operator.index(x) for x in t))
             if len(tt) != 3 or len(set(tt)) != 3:
                 raise ValueError(f"triangle with repeated vertex: {t}")
             ts.add(tt)  # type: ignore[arg-type]
             es.update(((tt[0], tt[1]), (tt[0], tt[2]), (tt[1], tt[2])))
         for e in edges:
-            ee = tuple(sorted(int(x) for x in e))
+            ee = tuple(sorted(operator.index(x) for x in e))
             if len(ee) != 2 or ee[0] == ee[1]:
                 raise ValueError(f"edge with repeated vertex: {e}")
             es.add(ee)  # type: ignore[arg-type]

@@ -187,6 +187,18 @@ def test_chroma_cap_refusal(tmp_path, capsys):
     assert run(["chroma", "--in", str(edges), "--cap", "30"]) == 0
 
 
+def test_chroma_on_a_long_odd_cycle(tmp_path, capsys):
+    # Its search path is 1201 vertices deep, past the interpreter's
+    # default recursion limit.
+    edges = tmp_path / "cycle.edges"
+    edges.write_text("".join(f"{i} {(i + 1) % 1201}\n" for i in range(1201)))
+    assert run(["chroma", "--in", str(edges), "--cap", "5000"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("chi=3\ncolors 3\n")
+    colors = parse_vertex_coloring(out).colors
+    assert all(colors[i] != colors[(i + 1) % 1201] for i in range(1201))
+
+
 def test_facecolor_pipeline(tmp_path, k3_file, k3_quad, capsys):
     colors = tmp_path / "k3.colors"
     assert run(["chroma", "--in", str(k3_file)]) == 0

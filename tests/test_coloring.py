@@ -73,6 +73,43 @@ def test_edge_cases_of_the_solver():
     assert chromatic_number_exact(Graph(vertices=[1, 5, 9]))[0] == 1
 
 
+# Clique bound 3, DSATUR's greedy coloring uses 4 colors, chi is 3: the
+# search must improve on its first leaf and then stop at the clique bound.
+DSATUR_SUBOPTIMAL = Graph(
+    edges=[
+        (0, 3), (0, 4), (0, 6), (1, 4), (1, 8), (2, 6), (3, 6), (3, 7),
+        (3, 8), (4, 5), (4, 7), (5, 6), (5, 7), (5, 8), (7, 8),
+    ]
+)
+
+
+def test_search_beats_the_greedy_coloring():
+    chi, witness = chromatic_number_exact(DSATUR_SUBOPTIMAL)
+    assert chi == chromatic_brute(DSATUR_SUBOPTIMAL) == 3
+    assert witness == VertexColoring(
+        colors={0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 0, 8: 2}, palette=3
+    )
+    assert verify_proper_vertices(DSATUR_SUBOPTIMAL, witness).ok
+
+
+# The Groetzsch graph: triangle-free, chi 4, so after its first 4-coloring
+# the search exhausts the tree and must keep that first one.
+GROETZSCH = Graph(
+    edges=[
+        (0, 1), (0, 3), (0, 6), (0, 8), (1, 2), (1, 5), (1, 7), (2, 4), (2, 6), (2, 9),
+        (3, 4), (3, 5), (3, 9), (4, 7), (4, 8), (5, 10), (6, 10), (7, 10), (8, 10), (9, 10),
+    ]
+)
+
+
+def test_search_keeps_the_first_optimal_leaf():
+    chi, witness = chromatic_number_exact(GROETZSCH)
+    assert chi == chromatic_brute(GROETZSCH) == 4
+    assert witness == VertexColoring(
+        colors={0: 0, 1: 1, 2: 0, 3: 2, 4: 1, 5: 0, 6: 2, 7: 0, 8: 2, 9: 3, 10: 1}, palette=4
+    )
+
+
 def test_solver_matches_brute_force():
     for seed in range(25):
         g = random_graph_no_isolated(seed, max_vertices=7)
@@ -106,6 +143,16 @@ def test_palette_bound_enforced_on_construction():
         VertexColoring(colors={0: 2}, palette=2)
     with pytest.raises(ValueError):
         FaceColoring(colors={0: -1}, palette=2)
+    # Fractional colors would all fit one palette slot and make a
+    # monochrome edge pass as proper.
+    with pytest.raises(ValueError, match="of 0 is not an int"):
+        VertexColoring(colors={0: 0.5, 1: 0.25}, palette=1)
+    with pytest.raises(ValueError, match="of 1 is not an int"):
+        FaceColoring(colors={0: 0, 1: 0.5}, palette=2)
+    with pytest.raises(ValueError, match="palette 2.0 is not an int"):
+        VertexColoring(colors={0: 0, 1: 1}, palette=2.0)
+    with pytest.raises(ValueError, match="palette 1.5 is not an int"):
+        FaceColoring(colors={0: 0}, palette=1.5)
 
 
 def test_lift_gives_twins_equal_colors_and_stays_proper():

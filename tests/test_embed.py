@@ -6,6 +6,7 @@ from spinalquad import (
     Graph,
     IsolatedVertexError,
     ParseError,
+    QuadEmbedding,
     RotationError,
     VertexColoring,
     complete_graph,
@@ -162,11 +163,26 @@ def test_parse_quad_requires_header():
         "0.0 1.0 0.1 1.1 src=-1",
         "0.0 1.0 0.1 1.2 src=0",
         "0.0 1.0 0.1 1.1 0",
+        "quad 4 4 2 1",
     ],
 )
 def test_parse_quad_rejects_malformed_face_lines(line):
     with pytest.raises(ParseError):
         parse_quad("quad 4 4 2 1\n" + line + "\n")
+
+
+@pytest.mark.parametrize(
+    "corners, sources, message",
+    [
+        ((0, 2, 1, 3, 2), (0,), "5 corners for 1 faces"),
+        ((0, 2, 1), (0,), "3 corners for 1 faces"),
+        ((0, 2, 1, 3), (0, 1), "4 corners for 2 faces"),
+        ((0, 2, -1, 3), (0,), "negative twin id"),
+    ],
+)
+def test_embedding_rejects_bad_corner_lists(corners, sources, message):
+    with pytest.raises(ValueError, match=message):
+        QuadEmbedding(spine=Graph(edges=[(0, 1)]), corners=corners, sources=sources)
 
 
 def test_parse_quad_rebuilds_spine_from_corners():

@@ -49,6 +49,15 @@ def test_negative_ids_rejected():
         Graph(edges=[(-1, 2)])
 
 
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [((), [(0, 1.9)]), ((), [("2", 3)]), ((2.0,), ()), (("7",), [(0, 1)])],
+)
+def test_non_integer_ids_rejected_not_truncated(vertices, edges):
+    with pytest.raises(TypeError):
+        Graph(vertices=vertices, edges=edges)
+
+
 def test_neighbors_sorted_and_degrees():
     g = Graph(edges=[(0, 3), (0, 1), (0, 2)])
     assert g.neighbors(0) == (1, 2, 3)

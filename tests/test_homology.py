@@ -46,6 +46,20 @@ def test_complex_rejects_degenerate_simplices():
         SimplicialComplex(vertices=[-2])
 
 
+@pytest.mark.parametrize(
+    "simplices",
+    [
+        {"triangles": [(0, 1.5, 2.7)]},
+        {"edges": [(0, 1.0)]},
+        {"edges": [("3", 4)]},
+        {"vertices": [0.0]},
+    ],
+)
+def test_complex_rejects_non_integer_ids(simplices):
+    with pytest.raises(TypeError):
+        SimplicialComplex(**simplices)
+
+
 def test_from_graph_keeps_vertices_and_edges():
     g = Graph(vertices=[4], edges=[(0, 1), (1, 2)])
     sc = from_graph(g)

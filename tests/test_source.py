@@ -59,3 +59,28 @@ def test_only_decimal_reads_integer_tokens():
                 if calls_int or digit_test:
                     found.append(f"{path.name}:{reader.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_function_calls_itself():
+    # Deep inputs must not hit the interpreter's recursion limit, so every
+    # search keeps its path on an explicit stack.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                direct = isinstance(callee, ast.Name) and callee.id == func.name
+                method = (
+                    isinstance(callee, ast.Attribute)
+                    and callee.attr == func.name
+                    and isinstance(callee.value, ast.Name)
+                    and callee.value.id in ("self", "cls")
+                )
+                if direct or method:
+                    found.append(f"{path.name}:{func.name}:{node.lineno}")
+    assert found == []
