@@ -11,7 +11,8 @@ A proper spine coloring lifts to the interlacement by giving both
 twins of a vertex the vertex's color, and pushes forward to faces of a
 quadrilateral embedding by giving each face the color of its source.
 Both transfers preserve properness; the checks here certify that on
-each concrete instance instead of assuming it.
+each concrete instance instead of assuming it. Both face checks make one
+pass over the face sides, with one label for every face or with the colors.
 """
 
 from __future__ import annotations
@@ -91,24 +92,28 @@ def verify_proper_vertices(g: Graph, coloring: VertexColoring) -> PropernessRepo
     return PropernessReport(ok=True, violation=None)
 
 
-def _side_keys(q: QuadEmbedding) -> tuple[int, list[list[int]]]:
-    """Width w and, per corner position j, the side from corner j to
-    corner j + 1 of every face, side {a, b} with a <= b keyed a * w + b."""
+def _shared_sides(q: QuadEmbedding, labels: Sequence[int]) -> list[tuple]:
+    """Sorted (i, j, (a, b)) triples for faces i < j that meet side
+    {a, b}, a <= b, and have equal non-negative labels; a face meeting
+    a side more than once counts once."""
     corners = q.corners
     width = max(corners, default=0) + 1
+    base = max(labels, default=0) + 1
     columns = [corners[j::4] for j in range(4)]
-    return width, [
-        [a * width + b if a < b else b * width + a for a, b in zip(columns[j], columns[j - 3])]
-        for j in range(4)
-    ]
-
-
-def _distinct_labels(sides: list[list[int]], labels: Sequence[int]) -> int:
-    """How many distinct (side, label of its face) pairs there are."""
-    low = min(labels, default=0)
-    base = max(labels, default=0) - low + 1
-    return len(
-        {side * base + label - low for column in sides for side, label in zip(column, labels)}
+    # Each dart is keyed by its side and its face's label: the first face
+    # seen keeps the key, and any other face with that key shares it.
+    first: dict[int, int] = {}
+    shared: dict[int, set[int]] = {}
+    for j in range(4):
+        darts = zip(columns[j], columns[j - 3], labels)  # corner j to corner j + 1
+        keys = [(a * width + b if a < b else b * width + a) * base + c for a, b, c in darts]
+        for f, i in enumerate(map(first.setdefault, keys, range(len(keys)))):
+            if i != f:
+                shared.setdefault(keys[f], {i}).add(f)
+    return sorted(
+        (i, j, divmod(key // base, width))
+        for key, faces in shared.items()
+        for i, j in combinations(sorted(faces), 2)
     )
 
 
@@ -118,15 +123,7 @@ def face_adjacencies(q: QuadEmbedding) -> list[tuple[int, int, tuple[int, int]]]
     Returns (i, j, shared_edge) triples with i < j, sorted. Faces
     meeting an edge more than twice all count pairwise.
     """
-    width, sides = _side_keys(q)
-    by_side: dict[int, list[int]] = {}
-    for side, f in sorted({(side, f) for column in sides for f, side in enumerate(column)}):
-        by_side.setdefault(side, []).append(f)
-    return sorted(
-        (i, j, divmod(side, width))
-        for side, faces in by_side.items()
-        for i, j in combinations(faces, 2)
-    )
+    return _shared_sides(q, [0] * len(q.sources))
 
 
 def verify_proper_faces(q: QuadEmbedding, coloring: FaceColoring) -> PropernessReport:
@@ -141,14 +138,8 @@ def verify_proper_faces(q: QuadEmbedding, coloring: FaceColoring) -> PropernessR
     for fi in range(nfaces):
         if fi not in colors:
             raise ColoringError(f"face {fi} has no color")
-    # Two faces on one side share a color iff labelling each face by its
-    # color instead of its index merges two (side, label) pairs.
-    _, sides = _side_keys(q)
-    face_colors = [colors[f] for f in range(nfaces)]
-    if _distinct_labels(sides, range(nfaces)) == _distinct_labels(sides, face_colors):
-        return PropernessReport(ok=True, violation=None)
-    clash = next(pair for pair in face_adjacencies(q) if colors[pair[0]] == colors[pair[1]])
-    return PropernessReport(ok=False, violation=clash)
+    clashes = _shared_sides(q, [colors[f] for f in range(nfaces)])
+    return PropernessReport(ok=not clashes, violation=clashes[0] if clashes else None)
 
 
 def _greedy_clique(g: Graph) -> list[int]:
@@ -156,13 +147,14 @@ def _greedy_clique(g: Graph) -> list[int]:
     # order; sound as a lower bound, no maximality claim.
     best: list[int] = []
     order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
+    neighbors = {v: set(g.neighbors(v)) for v in order}
     for start in order:
         clique = [start]
-        candidates = set(g.neighbors(start))
+        candidates = set(neighbors[start])
         for v in order:
             if v in candidates:
                 clique.append(v)
-                candidates &= set(g.neighbors(v))
+                candidates &= neighbors[v]
         if len(clique) > len(best):
             best = clique
     return best
@@ -322,7 +314,9 @@ def parse_vertex_coloring(text: str) -> VertexColoring:
     """Parse a coloring file with integer vertex tokens.
 
     Format: a ``colors <k>`` header, then ``<vertex> <color>`` lines.
-    Comment lines and ``key=value`` report lines are ignored.
+    Comment lines and ``key=value`` report lines are ignored. A second
+    header, or a vertex given two different colors, is a ParseError; a
+    line repeated as is collapses.
     """
     palette: int | None = None
     colors: dict[int, int] = {}
@@ -332,12 +326,17 @@ def parse_vertex_coloring(text: str) -> VertexColoring:
         if tokens[0] == "colors":
             if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: expected 'colors <k>'")
-            palette = _decimal(tokens[1], lineno, "palette")
+            size = _decimal(tokens[1], lineno, "palette")
+            if palette is not None:
+                raise ParseError(f"line {lineno}: duplicate header")
+            palette = size
             continue
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected '<vertex> <color>'")
         vertex = _decimal(tokens[0], lineno, "vertex id")
-        colors[vertex] = _decimal(tokens[1], lineno, "color")
+        color = _decimal(tokens[1], lineno, "color")
+        if colors.setdefault(vertex, color) != color:
+            raise ParseError(f"line {lineno}: vertex {vertex} already has color {colors[vertex]}")
     if palette is None:
         palette = max(colors.values()) + 1 if colors else 0
     try:

@@ -190,6 +190,7 @@ PARSERS = {
     "coloring": (parse_vertex_coloring, ("colors 3", "0 2", "0 2"), {
         "bad": "0 x", "arity": "0 1 2", "negative": "0 -1", "header": "colors ²",
         "non_decimal": ("{} 2", "0 {}", "colors {}"), "too_long": f"colors {TOO_LONG}",
+        "recolored": "0 1", "duplicate_header": "colors 3",
     }),
 }
 

@@ -171,6 +171,31 @@ def _damaged_variants(text: str, rng: random.Random) -> list[str]:
     return variants
 
 
+# Hand-built embeddings no spine produces: a face whose four sides are
+# one side, next to an ordinary face on it; a side met by three faces;
+# and no faces at all.
+DEGENERATE = [
+    QuadEmbedding(Graph(edges=[(0, 1)]), (0, 2, 0, 2, 0, 2, 1, 3), (0, 1)),
+    QuadEmbedding(Graph(edges=[(0, 1)]), (0, 2, 1, 3, 2, 0, 3, 1, 0, 2, 3, 1), (0, 1, 0)),
+    QuadEmbedding(Graph(), (), ()),
+]
+
+
+def _agrees_with_oracles(q: QuadEmbedding, rng: random.Random) -> bool:
+    """Assert the verdicts, the face adjacencies and the first face
+    color clash match the oracles; True when some component fails."""
+    report = verify_surface(q)
+    assert report.components == oracle_verify_surface(q)
+    pairs = oracle_face_adjacencies(q)
+    assert face_adjacencies(q) == pairs
+    colors = {i: rng.randrange(3) for i in range(len(q.faces))}
+    clash = next((p for p in pairs if colors[p[0]] == colors[p[1]]), None)
+    assert verify_proper_faces(q, FaceColoring(colors=colors, palette=3)).violation == clash
+    alike = FaceColoring(colors=dict.fromkeys(colors, 0), palette=1)
+    assert verify_proper_faces(q, alike).violation == next(iter(pairs), None)
+    return not all(c.ok for c in report.components)
+
+
 def test_flat_verifier_agrees_with_record_oracle():
     checked = rejected = 0
     for seed in range(150):
@@ -180,18 +205,14 @@ def test_flat_verifier_agrees_with_record_oracle():
         text = format_quad(quadrangulate(spine, rot))
         assert text == seed_quad_text(spine, rot)
         for variant in [text] + _damaged_variants(text, rng):
-            q = parse_quad(variant)
-            report = verify_surface(q)
-            assert report.components == oracle_verify_surface(q), (seed, variant)
-            pairs = oracle_face_adjacencies(q)
-            assert face_adjacencies(q) == pairs
-            colors = {i: rng.randrange(3) for i in range(len(q.faces))}
-            clash = next((p for p in pairs if colors[p[0]] == colors[p[1]]), None)
-            assert verify_proper_faces(q, FaceColoring(colors=colors, palette=3)).violation == clash
+            rejected += _agrees_with_oracles(parse_quad(variant), rng)
             checked += 1
-            rejected += not all(c.ok for c in report.components)
     assert checked == 150 * 11
     assert rejected > checked // 2
+    rng = random.Random(0)
+    for q in DEGENERATE:
+        for _ in range(8):
+            _agrees_with_oracles(q, rng)
 
 
 def test_header_only_file_fails():
