@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Graph, ParseError, _decimal, _neighbor_tuples, _records, components
+from .graph import Graph, ParseError, _decimal, _records, components
 from .interlace import Interlacement, _tokens_of, _twin_id, interlace
 
 # Cyclic neighbor order per spine vertex; each value is a permutation
@@ -204,16 +204,16 @@ def parse_quad(text: str) -> QuadEmbedding:
     if header is None:
         raise ParseError("missing 'quad' header line")
 
-    # Ids are nonnegative _decimal values and self-sides are dropped,
-    # so the spine is built sorted, with no second check.
+    # Each dart runs from corner j to corner j + 1 of its face, so
+    # ``heads`` is the corner list shifted by one within each face. The
+    # spine pair of a dart is kept once, low end first; a dart joining
+    # the two twins of one vertex is no spine edge, so it is skipped
+    # and left for the verifier to flag. Graph checks the rest.
     ids = [x >> 1 for x in corners]
-    columns = ids[0::4], ids[1::4], ids[2::4], ids[3::4]
-    pairs: set[tuple[int, int]] = set()
-    for j in range(4):
-        pairs.update(zip(columns[j], columns[j - 3]))
-    edges = tuple(sorted({(u, w) if u < w else (w, u) for u, w in pairs if u != w}))
-    vertices = tuple(sorted(set(ids).union(sources)))
-    spine = Graph._from_sorted(vertices, edges, _neighbor_tuples(vertices, edges))
+    heads = ids[1:] + ids[:1]
+    heads[3::4] = ids[0::4]
+    pairs = {(u, w) if u < w else (w, u) for u, w in zip(ids, heads) if u != w}
+    spine = Graph(set(ids).union(sources), pairs)
     return QuadEmbedding(
         spine=spine, corners=tuple(corners), sources=tuple(sources), header=header
     )

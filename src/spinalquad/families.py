@@ -24,9 +24,7 @@ class RecipeError(ValueError):
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 2:
-        raise RecipeError(f"complete graph needs at least 2 vertices, got {n}")
-    return Graph(edges=[(i, j) for i in range(n) for j in range(i + 1, n)])
+    return complete_minus_clique(n, 1)
 
 
 def complete_minus_edge(n: int) -> Graph:

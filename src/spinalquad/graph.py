@@ -49,7 +49,13 @@ class Graph:
                 raise ValueError(f"negative vertex id {v}")
         self._vertices: tuple[int, ...] = tuple(sorted(vs))
         self._edges: tuple[Edge, ...] = tuple(sorted(es))
-        self._adj: dict[int, tuple[int, ...]] = _neighbor_tuples(self._vertices, self._edges)
+        # Walking the ascending edges appends every neighbor list in
+        # ascending order.
+        adj: dict[int, list[int]] = {v: [] for v in self._vertices}
+        for u, v in self._edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj: dict[int, tuple[int, ...]] = {v: tuple(ns) for v, ns in adj.items()}
 
     @classmethod
     def _from_sorted(
@@ -96,19 +102,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({len(self._vertices)} vertices, {len(self._edges)} edges)"
-
-
-def _neighbor_tuples(
-    vertices: tuple[int, ...], edges: tuple[Edge, ...]
-) -> dict[int, tuple[int, ...]]:
-    """Each vertex's neighbors, ascending, given ascending unique edges:
-    walking them in order appends every neighbor list in ascending
-    order."""
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return {v: tuple(ns) for v, ns in adj.items()}
 
 
 # A vertex partition is a list of disjoint blocks covering the vertex

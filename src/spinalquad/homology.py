@@ -21,7 +21,7 @@ import heapq
 import operator
 from typing import Iterable, NamedTuple
 
-from .graph import Graph, ParseError, _decimal, _records
+from .graph import Graph, ParseError, _decimal, _records, components
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -38,8 +38,8 @@ class SimplicialComplex:
 
     The constructor completes the downward closure: every edge of every
     triangle and every endpoint of every edge is added automatically.
-    Simplices with repeated vertices are rejected; ids that are not
-    integers raise TypeError rather than being truncated.
+    Triangles with a repeated vertex are rejected; ``Graph`` builds the
+    1-skeleton, so vertices and edges obey its rules.
     """
 
     __slots__ = ("_vertices", "_edges", "_triangles")
@@ -50,27 +50,18 @@ class SimplicialComplex:
         edges: Iterable[tuple[int, int]] = (),
         triangles: Iterable[tuple[int, int, int]] = (),
     ):
-        vs = {operator.index(v) for v in vertices}
-        es: set[Edge] = set()
         ts: set[Triangle] = set()
+        sides: list[Edge] = []
         for t in triangles:
             tt = tuple(sorted(operator.index(x) for x in t))
             if len(tt) != 3 or len(set(tt)) != 3:
                 raise ValueError(f"triangle with repeated vertex: {t}")
-            ts.add(tt)  # type: ignore[arg-type]
-            es.update(((tt[0], tt[1]), (tt[0], tt[2]), (tt[1], tt[2])))
-        for e in edges:
-            ee = tuple(sorted(operator.index(x) for x in e))
-            if len(ee) != 2 or ee[0] == ee[1]:
-                raise ValueError(f"edge with repeated vertex: {e}")
-            es.add(ee)  # type: ignore[arg-type]
-        for u, v in es:
-            vs.add(u)
-            vs.add(v)
-        if any(v < 0 for v in vs):
-            raise ValueError("negative vertex id")
-        self._vertices = tuple(sorted(vs))
-        self._edges = tuple(sorted(es))
+            a, b, c = tt
+            ts.add((a, b, c))
+            sides += ((a, b), (a, c), (b, c))
+        skeleton = Graph(vertices, [*edges, *sides])
+        self._vertices = skeleton.vertices
+        self._edges = skeleton.edges
         self._triangles = tuple(sorted(ts))
 
     @property
@@ -270,15 +261,19 @@ class EulerPoincareReport(NamedTuple):
 
 
 def euler_poincare_check(complex: SimplicialComplex) -> EulerPoincareReport:
-    """Check |V| - |E| + |T| == b0 - b1 + b2.
+    """Check |V| - |E| + |T| == b0 - b1 + b2 and b0 == the number of
+    components of the 1-skeleton.
 
-    This identity holds for every complex; a False result signals an
-    internal bug in the rank computation and is surfaced as a
-    verification failure rather than an exception.
+    Rank-nullity makes the first identity hold for any ranks; the
+    component count is an independent route to b0 that catches a wrong
+    rank of the edge boundary. A False result signals an internal bug
+    and is surfaced as a verification failure rather than an exception.
     """
     chi = len(complex.vertices) - len(complex.edges) + len(complex.triangles)
     b = betti_numbers(complex)
-    return EulerPoincareReport(ok=(chi == b.b0 - b.b1 + b.b2), euler_characteristic=chi, betti=b)
+    b0 = len(components(Graph(complex.vertices, complex.edges)))
+    ok = chi == b.b0 - b.b1 + b.b2 and b.b0 == b0
+    return EulerPoincareReport(ok=ok, euler_characteristic=chi, betti=b)
 
 
 def parse_complex(text: str) -> SimplicialComplex:
@@ -289,22 +284,16 @@ def parse_complex(text: str) -> SimplicialComplex:
     on load. Repeated vertices within a simplex and simplices of
     dimension greater than 2 are parse errors naming the line.
     """
-    vertices: set[int] = set()
-    edges: set[Edge] = set()
-    triangles: set[Triangle] = set()
+    by_dimension: tuple[list[list[int]], ...] = ([], [], [])
     for lineno, tokens in _records(text):
         ids = [_decimal(tok, lineno, "vertex id") for tok in tokens]
         if len(ids) > 3:
             raise ParseError(f"line {lineno}: simplex of dimension > 2")
         if len(set(ids)) != len(ids):
             raise ParseError(f"line {lineno}: repeated vertex within a simplex")
-        if len(ids) == 1:
-            vertices.add(ids[0])
-        elif len(ids) == 2:
-            edges.add(tuple(sorted(ids)))  # type: ignore[arg-type]
-        else:
-            triangles.add(tuple(sorted(ids)))  # type: ignore[arg-type]
-    return SimplicialComplex(vertices, edges, triangles)
+        by_dimension[len(ids) - 1].append(ids)
+    points, edges, triangles = by_dimension
+    return SimplicialComplex([v for (v,) in points], edges, triangles)
 
 
 def format_complex(complex: SimplicialComplex) -> str:

@@ -171,6 +171,17 @@ def test_thicken_computes_each_fact_once(tmp_path, capsys, monkeypatch, edges, e
     assert calls == {"quadrangulate": 1, "verify_surface": 1, "betti_numbers": 1}
 
 
+def test_failed_certification_exits_one(k3_file, capsys, monkeypatch):
+    def refuse(spine):
+        raise verify_module.VerificationError("constructed embedding failed surface certification")
+
+    monkeypatch.setattr(cli_module, "check_thickening_identities", refuse)
+    assert run(["thicken", "--in", str(k3_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_chroma_reports_exact_number_with_witness(k3_file, capsys):
     assert run(["chroma", "--in", str(k3_file)]) == 0
     out = capsys.readouterr().out

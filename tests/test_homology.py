@@ -170,6 +170,16 @@ def test_euler_poincare_on_fixtures_and_random_complexes():
         assert euler_poincare_check(random_two_complex(seed)).ok
 
 
+def test_euler_poincare_catches_a_wrong_edge_boundary_rank(monkeypatch):
+    # Rank-nullity makes chi == b0 - b1 + b2 hold for any ranks, so only
+    # the component count of the 1-skeleton can catch this one.
+    rank = homology.boundary_rank
+    monkeypatch.setattr(homology, "boundary_rank", lambda k, sc: rank(k, sc) + (k == 1))
+    report = euler_poincare_check(SimplicialComplex(edges=[(0, 1)], vertices=[2]))
+    assert report.betti == BettiVector(b0=1, b1=-1, b2=0)
+    assert not report.ok
+
+
 SC_FILE = """\
 # one filled triangle, one stray edge, one loner vertex
 0 1 2

@@ -84,3 +84,22 @@ def test_no_function_calls_itself():
                 if direct or method:
                     found.append(f"{path.name}:{func.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_interlace_builds_through_from_sorted():
+    # Graph._from_sorted trusts its caller and checks nothing, so every
+    # other graph is built through Graph, the one owner of the vertex
+    # and edge rules.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = {
+            inner
+            for node in tree.body
+            if path.name == "interlace.py" and isinstance(node, ast.FunctionDef) and node.name == "interlace"
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if node not in allowed and getattr(node, "attr", None) == "_from_sorted":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
