@@ -123,7 +123,7 @@ def face_adjacencies(q: QuadEmbedding) -> list[tuple[int, int, tuple[int, int]]]
     Returns (i, j, shared_edge) triples with i < j, sorted. Faces
     meeting an edge more than twice all count pairwise.
     """
-    return _shared_sides(q, [0] * len(q.sources))
+    return _shared_sides(q, [0] * (len(q.corners) // 4))
 
 
 def verify_proper_faces(q: QuadEmbedding, coloring: FaceColoring) -> PropernessReport:
@@ -134,7 +134,7 @@ def verify_proper_faces(q: QuadEmbedding, coloring: FaceColoring) -> PropernessR
     on failure, the first in face_adjacencies order.
     """
     colors = coloring.colors
-    nfaces = len(q.sources)
+    nfaces = len(q.corners) // 4
     for fi in range(nfaces):
         if fi not in colors:
             raise ColoringError(f"face {fi} has no color")
@@ -296,7 +296,8 @@ def chromatic_equality_check(inter: Interlacement) -> ChromaticEqualityReport:
 
 
 def face_coloring_from_sources(q: QuadEmbedding, coloring: VertexColoring) -> FaceColoring:
-    """Color each face with the color of its source vertex.
+    """Color each face with the color of its source vertex, the
+    vertex of its corner 0.
 
     Requires a proper spine coloring. Faces sharing an edge always
     have adjacent sources, so the result is proper with palette at
@@ -306,7 +307,8 @@ def face_coloring_from_sources(q: QuadEmbedding, coloring: VertexColoring) -> Fa
     report = verify_proper_vertices(q.spine, coloring)
     if not report.ok:
         raise ColoringError(f"spine coloring improper on edge {report.violation}")
-    face_colors = {fi: coloring.colors[source] for fi, source in enumerate(q.sources)}
+    colors = coloring.colors
+    face_colors = {fi: colors[x >> 1] for fi, x in enumerate(q.corners[0::4])}
     return FaceColoring(colors=face_colors, palette=coloring.palette)
 
 

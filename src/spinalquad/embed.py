@@ -18,12 +18,13 @@ For a degree-1 vertex the rule collapses to the single merged face
 the twins of its source. The construction never trusts itself: the
 surface module re-certifies every output combinatorially.
 
-An embedding is stored flat: the spine, a ``corners`` tuple holding
-four encoded twin ids (``2 * spine_id + copy``) per face, and a
-``sources`` tuple holding one source id per face. ``faces`` (the
-corners grouped four to a face) and ``interlacement`` are read-only
-views derived from those on access; building, printing, parsing and
-verifying never need either.
+An embedding is stored flat: the spine and a ``corners`` tuple holding
+four encoded twin ids (``2 * spine_id + copy``) per face. A face's
+source is the vertex of its corner 0, so it is never stored; a
+``.quad`` file's ``src=`` label is a claim the parser checks against
+it. ``faces`` (the corners grouped four to a face) and
+``interlacement`` are read-only views derived on access; building,
+printing, parsing and verifying never need either.
 
 Counting consequences, for every rotation system: the face list has
 2E faces over the 2V vertices and 4E edges of the interlacement, and
@@ -57,21 +58,18 @@ class QuadEmbedding:
     """A spine together with its flat quadrilateral face list.
 
     ``corners`` holds four encoded twin ids per face, in cyclic order;
-    ``sources`` holds each face's source spine vertex. ``header`` is the
-    ``(V, E, F, components)`` claim of a parsed ``.quad`` file, and None
-    for an embedding built in memory.
+    face f's source spine vertex is ``corners[4 * f] >> 1``. ``header``
+    is the ``(V, E, F, components)`` claim of a parsed ``.quad`` file,
+    and None for an embedding built in memory.
     """
 
     spine: Graph
     corners: tuple[int, ...]
-    sources: tuple[int, ...]
     header: tuple[int, int, int, int] | None = None
 
     def __post_init__(self) -> None:
-        if len(self.corners) != 4 * len(self.sources):
-            raise ValueError(
-                f"{len(self.corners)} corners for {len(self.sources)} faces; need four per face"
-            )
+        if len(self.corners) % 4:
+            raise ValueError(f"{len(self.corners)} corners; need four per face")
         if min(self.corners, default=0) < 0:
             raise ValueError("negative twin id among the corners")
 
@@ -136,13 +134,11 @@ def quadrangulate(spine: Graph, rotations: RotationSystem | None = None) -> Quad
     # rotation entries (u, w), so sorting the (u, w) pairs sorts the
     # faces by corner sequence, as encoded ids order like twin pairs.
     corners: list[int] = []
-    sources: list[int] = []
     for v in spine.vertices:
         rot = rotations[v]
         for u, w in sorted(zip(rot, rot[1:] + rot[:1])):
             corners += (2 * v, 2 * u, 2 * v + 1, 2 * w + 1)
-        sources += [v] * len(rot)
-    return QuadEmbedding(spine=spine, corners=tuple(corners), sources=tuple(sources))
+    return QuadEmbedding(spine=spine, corners=tuple(corners))
 
 
 def format_quad(q: QuadEmbedding) -> str:
@@ -150,30 +146,31 @@ def format_quad(q: QuadEmbedding) -> str:
 
     Header ``quad <V> <E> <F> <components>`` with the interlacement's
     vertex and edge counts (twice and four times the spine's), then one
-    line per face: four corner tokens followed by ``src=<id>``.
+    line per face: four corner tokens followed by ``src=<id>``, the
+    vertex of corner 0.
     """
-    spine = q.spine
+    spine, corners = q.spine, q.corners
     ncomp = len(components(spine))
-    lines = [f"quad {2 * len(spine.vertices)} {4 * len(spine.edges)} {len(q.sources)} {ncomp}"]
-    token = _tokens_of(set(q.corners))
-    ids = iter(map(token.__getitem__, q.corners))
-    for source, a, b, c, d in zip(q.sources, ids, ids, ids, ids):
-        lines.append(f"{a} {b} {c} {d} src={source}")
+    lines = [f"quad {2 * len(spine.vertices)} {4 * len(spine.edges)} {len(corners) // 4} {ncomp}"]
+    token = _tokens_of(set(corners))
+    ids = iter(map(token.__getitem__, corners))
+    for first, a, b, c, d in zip(corners[0::4], ids, ids, ids, ids):
+        lines.append(f"{a} {b} {c} {d} src={first >> 1}")
     return "\n".join(lines) + "\n"
 
 
 def parse_quad(text: str) -> QuadEmbedding:
     """Parse a ``.quad`` file back into an embedding.
 
-    The spine is reconstructed from the faces: corner projections (and
-    source labels) give the spine vertices, and face sides with
-    distinct projections give the spine edges. The header counts are
-    kept as a claim for the verifier to check, not trusted. Sides
-    joining the two twins of one vertex are never interlacement edges,
-    so they are left for the verifier to flag.
+    The spine is reconstructed from the faces: corner projections give
+    the spine vertices, and face sides with distinct projections give
+    the spine edges. A face's ``src=`` label must name the vertex of its
+    corner 0, or the line is refused; nothing else is read from it. The
+    header counts are kept as a claim for the verifier to check, not
+    trusted. Sides joining the two twins of one vertex are never
+    interlacement edges, so they are left for the verifier to flag.
     """
     corners: list[int] = []
-    sources: list[int] = []
     # Each distinct twin token and each distinct ``src=`` token is
     # validated once.
     twin_ids: dict[str, int] = {}
@@ -200,7 +197,10 @@ def parse_quad(text: str) -> QuadEmbedding:
         source = source_ids.get(tokens[4])
         if source is None:
             source = source_ids[tokens[4]] = _decimal(tokens[4][len("src="):], lineno, "source id")
-        sources.append(source)
+        if source != quad[0] >> 1:
+            raise ParseError(
+                f"line {lineno}: src={source} is not {quad[0] >> 1}, the vertex of corner 0"
+            )
     if header is None:
         raise ParseError("missing 'quad' header line")
 
@@ -213,7 +213,4 @@ def parse_quad(text: str) -> QuadEmbedding:
     heads = ids[1:] + ids[:1]
     heads[3::4] = ids[0::4]
     pairs = {(u, w) if u < w else (w, u) for u, w in zip(ids, heads) if u != w}
-    spine = Graph(set(ids).union(sources), pairs)
-    return QuadEmbedding(
-        spine=spine, corners=tuple(corners), sources=tuple(sources), header=header
-    )
+    return QuadEmbedding(spine=Graph(set(ids), pairs), corners=tuple(corners), header=header)

@@ -27,13 +27,6 @@ def complete_graph(n: int) -> Graph:
     return complete_minus_clique(n, 1)
 
 
-def complete_minus_edge(n: int) -> Graph:
-    """K_n with the edge {0, 1} removed."""
-    if n < 3:
-        raise RecipeError(f"complete graph minus an edge needs at least 3 vertices, got {n}")
-    return complete_minus_clique(n, 2)
-
-
 def complete_minus_clique(n: int, m: int) -> Graph:
     """K_n with all edges inside {0, .., m-1} removed.
 

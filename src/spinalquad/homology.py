@@ -96,8 +96,11 @@ class SimplicialComplex:
 
 
 def from_graph(g: Graph) -> SimplicialComplex:
-    """View a graph as a 1-dimensional complex."""
-    return SimplicialComplex(vertices=g.vertices, edges=g.edges)
+    """View a graph as a 1-dimensional complex. The graph already obeys
+    the 1-skeleton rules, so its vertices and edges are taken as is."""
+    c = SimplicialComplex.__new__(SimplicialComplex)
+    c._vertices, c._edges, c._triangles = g.vertices, g.edges, ()
+    return c
 
 
 def matrix_rank_exact(rows: list[list[int]]) -> int:

@@ -132,8 +132,8 @@ def verify_surface(q: QuadEmbedding) -> SurfaceReport:
     vertices or edges, which fails.
     """
     spine, corners = q.spine, q.corners
-    nfaces = len(q.sources)
-    ndarts = 4 * nfaces
+    ndarts = len(corners)
+    nfaces = ndarts // 4
     block_of, block_sizes, block_edges = _blocks(spine)
     nblocks = len(block_sizes)
     stray = nblocks - 1

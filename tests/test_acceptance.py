@@ -18,7 +18,7 @@ from spinalquad import (
     check_thickening_identities,
     chromatic_number_exact,
     complete_graph,
-    complete_minus_edge,
+    complete_minus_clique,
     components,
     cycle_rank,
     default_rotations,
@@ -78,7 +78,7 @@ def test_criterion_3_one_edge_deleted_spines(criterion):
     expected_genus = {3: 0, 4: 2, 5: 5, 6: 9, 7: 14}
     with criterion(3, "edge-deleted complete spines n=3..7 hit genus and chromatic targets"):
         for n, genus in expected_genus.items():
-            spine = complete_minus_edge(n)
+            spine = complete_minus_clique(n, 2)
             report = verify_surface(quadrangulate(spine))
             assert report.ok
             assert report.hand == genus
@@ -204,7 +204,7 @@ def test_criterion_9_counting_identities(criterion):
         for n in range(2, 8):
             _assert_counting_identities(complete_graph(n))
         for n in range(3, 8):
-            _assert_counting_identities(complete_minus_edge(n))
+            _assert_counting_identities(complete_minus_clique(n, 2))
         for seed in range(20):
             _assert_counting_identities(random_tree(2 + seed % 13, seed))
         for seed in range(30):
@@ -216,7 +216,7 @@ def test_criterion_10_robustness(criterion, tmp_path):
         probes = [
             complete_graph(4),
             complete_graph(5),
-            complete_minus_edge(5),
+            complete_minus_clique(5, 2),
             spine_for(SpineRecipe(genus=2, palette=3, quad_vertices=10)),
         ]
         for spine in probes:
@@ -232,7 +232,7 @@ def test_criterion_10_robustness(criterion, tmp_path):
         for action in ("delete", "duplicate", "twinflip"):
             assert not verify_surface(parse_quad(mutate_quad_text(text, action))).ok
 
-        spine = complete_minus_edge(5)
+        spine = complete_minus_clique(5, 2)
         rot = permute_rotations(default_rotations(spine), 3)
         assert format_quad(quadrangulate(spine, rot)) == format_quad(quadrangulate(spine, rot))
 

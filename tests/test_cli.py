@@ -107,6 +107,26 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
     assert "twin token" in capsys.readouterr().err
 
 
+def test_mislabelled_source_is_refused_by_verify_and_facecolor(tmp_path, k3_quad, capsys):
+    # The triangle spine's last face is sourced at vertex 2. Labelled
+    # src=0, it used to pass verify and then fail facecolor.
+    header, *faces = k3_quad.read_text().splitlines()
+    assert faces[-1].endswith(" src=2")
+    faces[-1] = faces[-1][:-1] + "0"
+    bad = tmp_path / "mislabelled.quad"
+    bad.write_text("\n".join([header] + faces) + "\n")
+    colors = tmp_path / "k3.colors"
+    colors.write_text("colors 3\n0 0\n1 1\n2 2\n")
+    for argv in (
+        ["verify", "--in", str(bad)],
+        ["facecolor", "--in", str(bad), "--coloring", str(colors)],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 7: src=0 is not 2, the vertex of corner 0\n"
+
+
 def test_missing_input_file_is_a_usage_error(tmp_path, capsys):
     assert run(["verify", "--in", str(tmp_path / "nope.quad")]) == 2
     assert "error" in capsys.readouterr().err.lower()

@@ -197,8 +197,8 @@ def test_face_coloring_uses_source_colors_and_is_proper():
     chi, witness = chromatic_number_exact(spine)
     fc = face_coloring_from_sources(q, witness)
     assert fc.palette == chi == 3
-    for fi, source in enumerate(q.sources):
-        assert fc.colors[fi] == witness.colors[source]
+    for fi, quad in enumerate(q.faces):
+        assert fc.colors[fi] == witness.colors[quad[0] >> 1]
     assert verify_proper_faces(q, fc).ok
 
 
@@ -238,7 +238,7 @@ def test_same_source_faces_never_adjacent():
     for seed in range(10):
         q = quadrangulate(random_graph_no_isolated(seed))
         for i, j, _ in face_adjacencies(q):
-            assert q.sources[i] != q.sources[j]
+            assert q.faces[i][0] >> 1 != q.faces[j][0] >> 1
 
 
 COLOR_FILE = """\

@@ -12,13 +12,16 @@ from spinalquad import (
     complete_graph,
     default_rotations,
     face_coloring_from_sources,
+    format_face_coloring,
     format_quad,
+    format_vertex_coloring,
     parse_quad,
     permute_rotations,
     quadrangulate,
     verify_proper_faces,
     verify_surface,
 )
+from spinalquad.cli import run
 
 from helpers import quad_sides, random_graph_no_isolated
 
@@ -45,20 +48,15 @@ def test_permute_rotations_is_deterministic_permutation():
 
 def test_triangle_spine_face_list_is_frozen():
     """The full face list for the triangle spine, pinned corner by
-    corner. Each face reads (source twin 0, neighbor twin 0, source
-    twin 1, next neighbor twin 1)."""
-    q = quadrangulate(complete_graph(3))
-    got = [
-        (tuple(f"{x >> 1}.{x & 1}" for x in quad), source)
-        for quad, source in zip(q.faces, q.sources)
-    ]
-    assert got == [
-        (("0.0", "1.0", "0.1", "2.1"), 0),
-        (("0.0", "2.0", "0.1", "1.1"), 0),
-        (("1.0", "0.0", "1.1", "2.1"), 1),
-        (("1.0", "2.0", "1.1", "0.1"), 1),
-        (("2.0", "0.0", "2.1", "1.1"), 2),
-        (("2.0", "1.0", "2.1", "0.1"), 2),
+    corner with each face's src= label. Each face reads (source twin 0,
+    neighbor twin 0, source twin 1, next neighbor twin 1)."""
+    assert format_quad(quadrangulate(complete_graph(3))).splitlines()[1:] == [
+        "0.0 1.0 0.1 2.1 src=0",
+        "0.0 2.0 0.1 1.1 src=0",
+        "1.0 0.0 1.1 2.1 src=1",
+        "1.0 2.0 1.1 0.1 src=1",
+        "2.0 0.0 2.1 1.1 src=2",
+        "2.0 1.0 2.1 0.1 src=2",
     ]
 
 
@@ -67,7 +65,7 @@ def test_path_spine_merges_leaf_faces():
     # the face count is still twice the edge count.
     q = quadrangulate(Graph(edges=[(0, 1), (1, 2)]))
     assert len(q.faces) == 4
-    leaf_faces = [quad for quad, source in zip(q.faces, q.sources) if source in (0, 2)]
+    leaf_faces = [quad for quad in q.faces if quad[0] >> 1 in (0, 2)]
     assert leaf_faces == [
         (tv(0, 0), tv(1, 0), tv(0, 1), tv(1, 1)),
         (tv(2, 0), tv(1, 0), tv(2, 1), tv(1, 1)),
@@ -84,9 +82,14 @@ def test_face_counts_track_spine_counts():
 
 
 def test_source_twins_sit_at_opposite_corners():
+    # Each vertex is the source of one face per rotation entry, and
+    # its twins sit at corners 0 and 2 of each of them.
     for seed in range(12):
-        q = quadrangulate(random_graph_no_isolated(seed))
-        for quad, source in zip(q.faces, q.sources):
+        spine = random_graph_no_isolated(seed)
+        q = quadrangulate(spine)
+        sources = [quad[0] >> 1 for quad in q.faces]
+        assert sources == [v for v in spine.vertices for _ in range(spine.degree(v))]
+        for quad, source in zip(q.faces, sources):
             assert quad[0] == tv(source, 0)
             assert quad[2] == tv(source, 1)
 
@@ -134,7 +137,7 @@ def test_quad_format_round_trip():
         rot = permute_rotations(default_rotations(spine), seed)
         q = quadrangulate(spine, rot)
         back = parse_quad(format_quad(q))
-        assert (back.corners, back.sources) == (q.corners, q.sources)
+        assert back.corners == q.corners
         assert back.spine == spine
         assert back.interlacement.graph == q.interlacement.graph
 
@@ -163,6 +166,7 @@ def test_parse_quad_requires_header():
         "0.0 1.0 0.1 1.1 src=-1",
         "0.0 1.0 0.1 1.2 src=0",
         "0.0 1.0 0.1 1.1 0",
+        "0.0 1.0 0.1 1.1 src=1",
         "quad 4 4 2 1",
     ],
 )
@@ -172,17 +176,16 @@ def test_parse_quad_rejects_malformed_face_lines(line):
 
 
 @pytest.mark.parametrize(
-    "corners, sources, message",
+    "corners, message",
     [
-        ((0, 2, 1, 3, 2), (0,), "5 corners for 1 faces"),
-        ((0, 2, 1), (0,), "3 corners for 1 faces"),
-        ((0, 2, 1, 3), (0, 1), "4 corners for 2 faces"),
-        ((0, 2, -1, 3), (0,), "negative twin id"),
+        ((0, 2, 1, 3, 2), "5 corners; need four per face"),
+        ((0, 2, 1), "3 corners; need four per face"),
+        ((0, 2, -1, 3), "negative twin id"),
     ],
 )
-def test_embedding_rejects_bad_corner_lists(corners, sources, message):
+def test_embedding_rejects_bad_corner_lists(corners, message):
     with pytest.raises(ValueError, match=message):
-        QuadEmbedding(spine=Graph(edges=[(0, 1)]), corners=corners, sources=sources)
+        QuadEmbedding(spine=Graph(edges=[(0, 1)]), corners=corners)
 
 
 def test_parse_quad_rebuilds_spine_from_corners():
@@ -194,7 +197,7 @@ def test_parse_quad_rebuilds_spine_from_corners():
     q = parse_quad(text)
     assert q.spine == Graph(edges=[(0, 1)])
     assert q.faces[0] == (tv(0, 0), tv(1, 0), tv(0, 1), tv(1, 1))
-    assert q.sources == (0, 1)
+    assert format_quad(q) == text
 
 
 def test_disconnected_spine_supported():
@@ -205,7 +208,11 @@ def test_disconnected_spine_supported():
     assert report.ok and report.comp == 2
 
 
-def test_surface_chain_builds_no_face_records_and_no_interlacement(monkeypatch):
+def test_surface_chain_builds_no_face_records_and_no_interlacement(monkeypatch, tmp_path, capsys):
+    def no_faces(q):
+        raise AssertionError("face tuples built")
+
+    monkeypatch.setattr(QuadEmbedding, "faces", property(no_faces))
     calls = []
     for name in ("interlace", "embed", "verify", "coloring", "cli"):
         module = importlib.import_module(f"spinalquad.{name}")
@@ -220,11 +227,21 @@ def test_surface_chain_builds_no_face_records_and_no_interlacement(monkeypatch):
 
     spine = random_graph_no_isolated(5)
     q = quadrangulate(spine, permute_rotations(default_rotations(spine), 5))
-    back = parse_quad(format_quad(q))
+    text = format_quad(q)
+    back = parse_quad(text)
     assert verify_surface(back).ok
-    assert len(back.sources) == 2 * len(spine.edges)
+    assert len(back.corners) == 8 * len(spine.edges)
     palette = len(spine.vertices)
     coloring = VertexColoring(colors={v: i for i, v in enumerate(spine.vertices)}, palette=palette)
     faces = face_coloring_from_sources(back, coloring)
     assert verify_proper_faces(back, faces).ok
+
+    quad, colors = tmp_path / "s.quad", tmp_path / "s.colors"
+    quad.write_text(text)
+    colors.write_text(format_vertex_coloring(coloring))
+    assert run(["verify", "--in", str(quad)]) == 0
+    assert run(["facecolor", "--in", str(quad), "--coloring", str(colors)]) == 0
+    out = capsys.readouterr()
+    assert out.out.endswith("ok=true\n" + format_face_coloring(faces) + "proper=true\n")
+    assert out.err == ""
     assert calls == []

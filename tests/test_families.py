@@ -10,7 +10,6 @@ from spinalquad import (
     chromatic_number_exact,
     complete_graph,
     complete_minus_clique,
-    complete_minus_edge,
     components,
     cycle_rank,
     format_edge_list,
@@ -31,13 +30,13 @@ def test_complete_graph_shape():
 
 
 def test_minus_edge_removes_exactly_the_first_pair():
-    g = complete_minus_edge(5)
+    g = complete_minus_clique(5, 2)
     assert not g.has_edge(0, 1)
     assert len(g.edges) == 9
     assert len(g.vertices) == 5
     assert cycle_rank(g) == 5
     with pytest.raises(RecipeError):
-        complete_minus_edge(2)
+        complete_minus_clique(2, 2)
 
 
 def test_minus_clique_families():

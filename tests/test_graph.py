@@ -179,13 +179,15 @@ PARSERS = {
         "bad": "0 x", "arity": "0 1 2 3", "negative": "0 -1", "self_loop": "2 2",
         "non_decimal": ("0 {} 2",), "too_long": f"0 {TOO_LONG}",
     }),
-    # The header comes last, so that a faulty header is the only one.
-    "quad": (parse_quad, ("0.0 1.0 0.1 1.1 src=0", "1.0 0.0 1.1 0.1 src=1", "quad 4 8 2 1"), {
+    # The header comes last, so that a faulty header is the only one. A
+    # src= label is compared with corner 0 as an integer: src=01 is 1.
+    "quad": (parse_quad, ("0.0 1.0 0.1 1.1 src=0", "1.0 0.0 1.1 0.1 src=01", "quad 4 8 2 1"), {
         "bad": "0.0 x 0.1 1.1 src=0",
         "arity": "0.0 1.0 0.1 src=0",
         "negative": "0.0 -1.0 0.1 1.1 src=0",
         "non_decimal": ("0.0 {}.0 0.1 1.1 src=0", "0.0 1.0 0.1 1.1 src={}", "quad {} 8 2 1", "quad 4 8 2 {}"),
         "too_long": f"0.0 1.0 0.1 1.1 src={TOO_LONG}",
+        "mislabelled": "0.0 1.0 0.1 1.1 src=1",
     }),
     "coloring": (parse_vertex_coloring, ("colors 3", "0 2", "0 2"), {
         "bad": "0 x", "arity": "0 1 2", "negative": "0 -1", "header": "colors ²",
@@ -252,15 +254,16 @@ def test_graphs_built_sorted_match_the_validating_constructor():
         _assert_same_graph(twins, want)
         assert format_twin_edge_list(twins) == format_twin_edge_list(want)
 
-        # An isolated spine vertex has no face; it enters a .quad only
-        # as a face's src= label.
+        # The spine of a .quad has exactly its corners' vertices: a
+        # src= label naming a vertex of no corner is refused by line.
         core = Graph(edges=spine.edges)
         split += len(components(core)) > 1
         rotations = permute_rotations(default_rotations(core), seed)
         header, *faces = format_quad(quadrangulate(core, rotations)).splitlines()
+        _assert_same_graph(parse_quad("\n".join([header] + faces) + "\n").spine, core)
         lonely = big + 3 * seed + 1
         i = rng.randrange(len(faces))
         faces[i] = faces[i].rsplit("src=", 1)[0] + f"src={lonely}"
-        rebuilt = parse_quad("\n".join([header] + faces) + "\n").spine
-        _assert_same_graph(rebuilt, Graph(list(core.vertices) + [lonely], core.edges))
+        with pytest.raises(ParseError, match=f"^line {i + 2}: src={lonely} is not "):
+            parse_quad("\n".join([header] + faces) + "\n")
     assert split > 0

@@ -156,6 +156,7 @@ def test_graph_betti_match_component_and_cycle_counts():
             if rng.random() < 0.3
         ]
         g = Graph(range(n), edges)
+        assert from_graph(g) == SimplicialComplex(g.vertices, g.edges)
         b = betti_numbers(from_graph(g))
         assert b.b0 == len(components(g))
         assert b.b1 == cycle_rank(g)

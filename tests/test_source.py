@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import spinalquad
@@ -102,4 +103,19 @@ def test_only_interlace_builds_through_from_sorted():
         for node in ast.walk(tree):
             if node not in allowed and getattr(node, "attr", None) == "_from_sorted":
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_faces_have_one_record():
+    # A face's source is the vertex of its corner 0: QuadEmbedding
+    # stores corners only, and no module keeps or reads a second copy.
+    assert [f.name for f in dataclasses.fields(spinalquad.QuadEmbedding)] == ["spine", "corners", "header"]
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "sources"
+        )
     assert found == []

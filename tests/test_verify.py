@@ -8,6 +8,7 @@ from spinalquad import (
     FaceColoring,
     Graph,
     IsolatedVertexError,
+    ParseError,
     QuadEmbedding,
     check_duality_formula,
     check_thickening_identities,
@@ -145,9 +146,11 @@ def test_both_checks_pass_on_random_graphs():
 
 
 def _damaged_variants(text: str, rng: random.Random) -> list[str]:
-    """Seeded damage to a well-formed quad file, each still parseable:
-    the three tamperings of a random face, single-token edits, and
-    dropped, shuffled and repeated face lines."""
+    """Seeded damage to a well-formed quad file: the three tamperings
+    of a random face, single-token edits, and dropped, shuffled and
+    repeated face lines. A new corner 0 takes its src= label along; a
+    new src= label alone may name another vertex, which the parser
+    refuses."""
     header, *faces = text.strip().splitlines()
     nverts = int(header.split()[1]) // 2
     variants = [
@@ -161,6 +164,8 @@ def _damaged_variants(text: str, rng: random.Random) -> list[str]:
         slot = rng.randrange(5)
         vertex = rng.randrange(nverts + 2)
         tokens[slot] = f"src={vertex}" if slot == 4 else f"{vertex}.{rng.randrange(2)}"
+        if slot == 0:
+            tokens[4] = f"src={vertex}"
         lines[i] = " ".join(tokens)
         variants.append("\n".join([header] + lines) + "\n")
     kept = [line for line in faces if rng.random() < 0.7]
@@ -171,13 +176,22 @@ def _damaged_variants(text: str, rng: random.Random) -> list[str]:
     return variants
 
 
+def _mislabelled_line(text: str) -> int | None:
+    """The first line whose src= label is not its corner 0's vertex."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        tokens = line.split()
+        if tokens[-1].startswith("src=") and tokens[-1][4:] != tokens[0].split(".")[0]:
+            return lineno
+    return None
+
+
 # Hand-built embeddings no spine produces: a face whose four sides are
 # one side, next to an ordinary face on it; a side met by three faces;
 # and no faces at all.
 DEGENERATE = [
-    QuadEmbedding(Graph(edges=[(0, 1)]), (0, 2, 0, 2, 0, 2, 1, 3), (0, 1)),
-    QuadEmbedding(Graph(edges=[(0, 1)]), (0, 2, 1, 3, 2, 0, 3, 1, 0, 2, 3, 1), (0, 1, 0)),
-    QuadEmbedding(Graph(), (), ()),
+    QuadEmbedding(Graph(edges=[(0, 1)]), (0, 2, 0, 2, 0, 2, 1, 3)),
+    QuadEmbedding(Graph(edges=[(0, 1)]), (0, 2, 1, 3, 2, 0, 3, 1, 0, 2, 3, 1)),
+    QuadEmbedding(Graph(), ()),
 ]
 
 
@@ -205,7 +219,13 @@ def test_flat_verifier_agrees_with_record_oracle():
         text = format_quad(quadrangulate(spine, rot))
         assert text == seed_quad_text(spine, rot)
         for variant in [text] + _damaged_variants(text, rng):
-            rejected += _agrees_with_oracles(parse_quad(variant), rng)
+            line = _mislabelled_line(variant)
+            if line is None:
+                rejected += _agrees_with_oracles(parse_quad(variant), rng)
+            else:
+                with pytest.raises(ParseError, match=f"^line {line}: src="):
+                    parse_quad(variant)
+                rejected += 1
             checked += 1
     assert checked == 150 * 11
     assert rejected > checked // 2
@@ -238,7 +258,7 @@ def test_dropped_component_fails_on_header_counts():
 def test_face_outside_the_interlacement_is_a_failing_verdict():
     q = quadrangulate(complete_graph(3))
     # The face (9.0, 1.0, 0.1, 1.1): its first corner's vertex is not in the spine.
-    bad = QuadEmbedding(spine=q.spine, corners=q.corners + (18, 2, 1, 3), sources=q.sources + (9,))
+    bad = QuadEmbedding(spine=q.spine, corners=q.corners + (18, 2, 1, 3))
     report = verify_surface(bad)
     assert not report.ok
     assert report.components[0] == verify_surface(q).components[0]
@@ -268,8 +288,7 @@ KLEIN_BOTTLES = [
 
 def klein_bottle(faces) -> QuadEmbedding:
     corners = tuple(x for face in faces for x in face)
-    sources = tuple(face[0] >> 1 for face in faces)
-    return QuadEmbedding(spine=complete_graph(3), corners=corners, sources=sources)
+    return QuadEmbedding(spine=complete_graph(3), corners=corners)
 
 
 @pytest.mark.parametrize("faces", KLEIN_BOTTLES)
@@ -291,7 +310,7 @@ def reverse_faces(q: QuadEmbedding, faces) -> QuadEmbedding:
     for f in faces:
         a, b, c, d = corners[4 * f : 4 * f + 4]
         corners[4 * f : 4 * f + 4] = [a, d, c, b]
-    return QuadEmbedding(spine=q.spine, corners=tuple(corners), sources=q.sources)
+    return QuadEmbedding(spine=q.spine, corners=tuple(corners))
 
 
 def traversed_twice_one_way(q: QuadEmbedding) -> bool:
@@ -307,7 +326,7 @@ def test_reversed_faces_leave_an_orientable_surface():
         spine = random_graph_no_isolated(seed, max_vertices=12)
         q = quadrangulate(spine, permute_rotations(default_rotations(spine), seed))
         assert not traversed_twice_one_way(q)
-        nfaces = len(q.sources)
+        nfaces = len(q.faces)
         flipped = reverse_faces(q, rng.sample(range(nfaces), rng.randint(1, min(3, nfaces - 1))))
         assert traversed_twice_one_way(flipped)
         for embedding in (flipped, parse_quad(format_quad(flipped))):
