@@ -9,12 +9,9 @@ chromatic behavior.
 
 from .coloring import (
     CapExceededError,
-    ChromaticEqualityReport,
     ColoringError,
     FaceColoring,
-    PropernessReport,
     VertexColoring,
-    chromatic_equality_check,
     chromatic_number_exact,
     face_adjacencies,
     face_coloring_from_sources,
@@ -37,14 +34,12 @@ from .embed import (
     quadrangulate,
 )
 from .families import (
-    MinimalityCertificate,
     RecipeError,
     SpineRecipe,
     complete_graph,
     complete_minus_clique,
     min_quad_vertices,
     minimality_report,
-    random_tree,
     spine_for,
 )
 from .graph import (
@@ -57,32 +52,24 @@ from .graph import (
 )
 from .homology import (
     BettiVector,
-    EulerPoincareReport,
     SimplicialComplex,
     betti_numbers,
-    boundary_matrix,
     boundary_rank,
     euler_poincare_check,
-    format_complex,
     from_graph,
     matrix_rank_exact,
     parse_complex,
 )
 from .interlace import (
-    Interlacement,
     format_twin_edge_list,
     interlace,
-    parse_twin_edge_list,
 )
 from .verify import (
     ComponentReport,
-    DualityReport,
     SurfaceReport,
-    ThickeningIdentityReport,
     VerificationError,
     check_duality_formula,
     check_thickening_identities,
-    thickening_report,
     verify_surface,
 )
 
@@ -91,18 +78,12 @@ __version__ = "1.0.0"
 __all__ = [
     "BettiVector",
     "CapExceededError",
-    "ChromaticEqualityReport",
     "ColoringError",
     "ComponentReport",
-    "DualityReport",
-    "EulerPoincareReport",
     "FaceColoring",
     "Graph",
-    "Interlacement",
     "IsolatedVertexError",
-    "MinimalityCertificate",
     "ParseError",
-    "PropernessReport",
     "QuadEmbedding",
     "RecipeError",
     "RotationError",
@@ -110,15 +91,12 @@ __all__ = [
     "SimplicialComplex",
     "SpineRecipe",
     "SurfaceReport",
-    "ThickeningIdentityReport",
     "VerificationError",
     "VertexColoring",
     "betti_numbers",
-    "boundary_matrix",
     "boundary_rank",
     "check_duality_formula",
     "check_thickening_identities",
-    "chromatic_equality_check",
     "chromatic_number_exact",
     "complete_graph",
     "complete_minus_clique",
@@ -128,7 +106,6 @@ __all__ = [
     "euler_poincare_check",
     "face_adjacencies",
     "face_coloring_from_sources",
-    "format_complex",
     "format_edge_list",
     "format_face_coloring",
     "format_quad",
@@ -143,13 +120,10 @@ __all__ = [
     "parse_complex",
     "parse_edge_list",
     "parse_quad",
-    "parse_twin_edge_list",
     "parse_vertex_coloring",
     "permute_rotations",
     "quadrangulate",
-    "random_tree",
     "spine_for",
-    "thickening_report",
     "verify_proper_faces",
     "verify_proper_vertices",
     "verify_surface",

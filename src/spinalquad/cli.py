@@ -112,7 +112,7 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 def _cmd_thicken(args: argparse.Namespace) -> int:
     spine = parse_edge_list(_read(args.infile))
     identities = check_thickening_identities(spine)
-    duality = _duality_report(identities.comp, identities.hand, identities.betti)
+    duality = _duality_report(identities)
     sys.stdout.write(
         f"comp={identities.comp} hand={identities.hand} "
         f"identity_check={_fmt_bool(identities.ok)} "

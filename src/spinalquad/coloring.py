@@ -268,33 +268,6 @@ def lift_coloring(inter: Interlacement, coloring: VertexColoring) -> VertexColor
     return VertexColoring(colors=lifted, palette=coloring.palette)
 
 
-class ChromaticEqualityReport(NamedTuple):
-    ok: bool
-    chromatic_number: int
-    lift_proper: bool
-    contains_spine_copy: bool
-
-
-def chromatic_equality_check(inter: Interlacement) -> ChromaticEqualityReport:
-    """Certify that the interlacement's chromatic number equals the spine's.
-
-    Upper bound: an optimal spine coloring lifts to a proper coloring
-    of the interlacement with the same palette. Lower bound: the
-    primed copies carry an embedded copy of the spine, asserted by
-    subgraph containment rather than by re-solving the larger graph.
-    """
-    chi, witness = chromatic_number_exact(inter.spine)
-    lifted = lift_coloring(inter, witness)
-    lift_proper = verify_proper_vertices(inter.graph, lifted).ok
-    contains = all(inter.graph.has_edge(2 * u, 2 * v) for u, v in inter.spine.edges)
-    return ChromaticEqualityReport(
-        ok=(lift_proper and contains),
-        chromatic_number=chi,
-        lift_proper=lift_proper,
-        contains_spine_copy=contains,
-    )
-
-
 def face_coloring_from_sources(q: QuadEmbedding, coloring: VertexColoring) -> FaceColoring:
     """Color each face with the color of its source vertex, the
     vertex of its corner 0.

@@ -12,7 +12,6 @@ pendant vertices to pad the count without touching either invariant.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from .graph import Graph, cycle_rank
@@ -38,20 +37,6 @@ def complete_minus_clique(n: int, m: int) -> Graph:
     if not 1 <= m <= n - 1:
         raise RecipeError(f"removed clique size {m} outside 1..{n - 1} for n={n}")
     return Graph(edges=[(i, j) for i in range(n) for j in range(max(i + 1, m), n)])
-
-
-def random_tree(vertex_count: int, seed: int) -> Graph:
-    """Uniform-attachment random tree on 0..vertex_count-1.
-
-    Vertex v > 0 joins a parent drawn uniformly from 0..v-1, so the
-    result is connected and acyclic by construction, and identical
-    across runs with the same seed.
-    """
-    if vertex_count < 2:
-        raise RecipeError(f"tree needs at least 2 vertices, got {vertex_count}")
-    rng = random.Random(seed)
-    edges = [(rng.randrange(v), v) for v in range(1, vertex_count)]
-    return Graph(edges=edges)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 Edge = tuple[int, int]
 
@@ -175,40 +175,10 @@ def _decimal(token: str, lineno: int, what: str) -> int:
     raise ParseError(f"line {lineno}: expected decimal {what}, got {token!r}")
 
 
-def _parse_id(token: str, lineno: int) -> int:
-    return _decimal(token, lineno, "vertex id")
-
-
-def _read_edges(text: str, read_id: Callable[[str, int], int], noun: str) -> Graph:
-    """The ``.edges`` reader for both vertex dialects.
-
-    ``v <noun>`` declares a vertex and ``<noun> <noun>`` an edge; each
-    token becomes an id through ``read_id(token, lineno)``, which
-    raises ParseError on a bad one. Self-loops are refused here, with
-    their line; ``Graph`` orders each edge's endpoints.
-    """
-    vertices: list[int] = []
-    edges: list[Edge] = []
-    for lineno, tokens in _records(text):
-        if tokens[0] == "v":
-            if len(tokens) != 2:
-                raise ParseError(f"line {lineno}: vertex declaration needs exactly one {noun}")
-            vertices.append(read_id(tokens[1], lineno))
-        elif len(tokens) == 2:
-            u = read_id(tokens[0], lineno)
-            v = read_id(tokens[1], lineno)
-            if u == v:
-                at = f"vertex {u}" if noun == "id" else tokens[0]
-                raise ParseError(f"line {lineno}: self-loop at {at}")
-            edges.append((u, v))
-        else:
-            raise ParseError(f"line {lineno}: expected 'v <{noun}>' or '<{noun}> <{noun}>'")
-    return Graph(vertices, edges)
-
-
 def _write_edges(g: Graph, token: Mapping[int, str]) -> str:
-    """The ``.edges`` writer for both vertex dialects; ``token`` maps
-    each vertex of ``g`` to its text, built once per vertex."""
+    """The ``.edges`` writer of both ``format_edge_list`` and the twin
+    dialect of ``format_twin_edge_list``; ``token`` maps each vertex of
+    ``g`` to its text, built once per vertex."""
     lines = [f"v {token[v]}" for v in g.isolated_vertices()]
     lines.extend(f"{token[u]} {token[v]}" for u, v in g.edges)
     return "\n".join(lines) + ("\n" if lines else "")
@@ -220,9 +190,25 @@ def parse_edge_list(text: str) -> Graph:
     One declaration per line: ``v <id>`` for a possibly-isolated
     vertex, ``<id> <id>`` for an edge. ``#`` starts a comment.
     Duplicates collapse; malformed lines, self-loops and negative ids
-    raise ParseError naming the line.
+    raise ParseError naming the line. ``Graph`` orders each edge's
+    endpoints.
     """
-    return _read_edges(text, _parse_id, "id")
+    vertices: list[int] = []
+    edges: list[Edge] = []
+    for lineno, tokens in _records(text):
+        if tokens[0] == "v":
+            if len(tokens) != 2:
+                raise ParseError(f"line {lineno}: vertex declaration needs exactly one id")
+            vertices.append(_decimal(tokens[1], lineno, "vertex id"))
+        elif len(tokens) == 2:
+            u = _decimal(tokens[0], lineno, "vertex id")
+            v = _decimal(tokens[1], lineno, "vertex id")
+            if u == v:
+                raise ParseError(f"line {lineno}: self-loop at vertex {u}")
+            edges.append((u, v))
+        else:
+            raise ParseError(f"line {lineno}: expected 'v <id>' or '<id> <id>'")
+    return Graph(vertices, edges)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -158,17 +158,6 @@ def _boundary_rows(k: int, complex: SimplicialComplex) -> tuple[list[dict[int, i
     return rows, len(cols)
 
 
-def boundary_matrix(k: int, complex: SimplicialComplex) -> list[list[int]]:
-    """Dense integer matrix of the k-th boundary operator, k in {1, 2},
-    laid out as in ``_boundary_rows``."""
-    rows, ncols = _boundary_rows(k, complex)
-    matrix = [[0] * ncols for _ in rows]
-    for dense, row in zip(matrix, rows):
-        for j, x in row.items():
-            dense[j] = x
-    return matrix
-
-
 def _sparse_rank(rows: list[dict[int, int]]) -> int:
     """Rank over the rationals of a sparse integer matrix.
 
@@ -298,12 +287,3 @@ def parse_complex(text: str) -> SimplicialComplex:
     points, edges, triangles = by_dimension
     return SimplicialComplex([v for (v,) in points], edges, triangles)
 
-
-def format_complex(complex: SimplicialComplex) -> str:
-    """Emit the ``.sc`` format, listing maximal simplices only."""
-    in_edge = {v for e in complex.edges for v in e}
-    in_triangle = {e for t in complex.triangles for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))}
-    lines = [str(v) for v in complex.vertices if v not in in_edge]
-    lines.extend(f"{u} {v}" for u, v in complex.edges if (u, v) not in in_triangle)
-    lines.extend(f"{a} {b} {c}" for a, b, c in complex.triangles)
-    return "\n".join(lines) + ("\n" if lines else "")

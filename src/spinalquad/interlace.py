@@ -8,7 +8,10 @@ edges.
 
 Internally twin vertices are encoded as integers 2 * spine_id + copy,
 which keeps the interlacement an ordinary Graph and sorts primarily by
-spine id. In text formats a twin is written ``<id>.0`` or ``<id>.1``.
+spine id. In text formats a twin is written ``<id>.0`` or ``<id>.1``:
+``format_twin_edge_list`` writes the interlacement as a twin ``.edges``
+file, which no command reads back, and ``parse_quad`` reads the twin
+tokens of a ``.quad`` file through ``_twin_id``.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 
-from .graph import Graph, ParseError, _decimal, _read_edges, _write_edges
+from .graph import Graph, ParseError, _decimal, _write_edges
 
 
 def _tokens_of(ids: Iterable[int]) -> dict[int, str]:
@@ -78,8 +80,3 @@ def interlace(spine: Graph) -> Interlacement:
 def format_twin_edge_list(graph: Graph) -> str:
     """Emit a twin-labeled graph in the ``.edges`` format."""
     return _write_edges(graph, _tokens_of(graph.vertices))
-
-
-def parse_twin_edge_list(text: str) -> Graph:
-    """Parse a twin-labeled ``.edges`` file into a graph over encoded ids."""
-    return _read_edges(text, partial(_twin_id, {}), "token")

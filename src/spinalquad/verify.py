@@ -363,21 +363,6 @@ def _parity_root(parent: list[int], parity: list[int], f: int) -> tuple[int, int
     return f, p
 
 
-def thickening_report(spine: Graph) -> tuple[int, int]:
-    """(components, total handles) of the built-and-certified surface.
-
-    Quadrangulates the spine with default rotations, runs the full
-    surface certification, and reads the counts off the verdicts.
-    Raises ValueError for the empty spine, IsolatedVertexError for bad
-    spines and VerificationError if certification fails, which would
-    mean a bug in the construction.
-    """
-    report = verify_surface(quadrangulate(spine, default_rotations(spine)))
-    if not report.ok or report.hand is None:
-        raise VerificationError("constructed embedding failed surface certification")
-    return report.comp, report.hand
-
-
 class ThickeningIdentityReport(NamedTuple):
     ok: bool
     comp: int
@@ -388,15 +373,20 @@ class ThickeningIdentityReport(NamedTuple):
 def check_thickening_identities(spine: Graph) -> ThickeningIdentityReport:
     """Check comp == b0 + b2 and hand == b1 for a graph spine.
 
-    The left sides come from the verified surface, the right sides
-    from exact rational homology of the spine (b2 of a graph is 0, so
-    the first identity reduces to comp == b0).
+    The left sides come from the surface built with default rotations
+    and fully certified, the right sides from exact rational homology
+    of the spine (b2 of a graph is 0, so the first identity reduces to
+    comp == b0). Raises ValueError for the empty spine,
+    IsolatedVertexError for bad spines and VerificationError if
+    certification fails, which would mean a bug in the construction.
     """
-    comp, hand = thickening_report(spine)
+    report = verify_surface(quadrangulate(spine, default_rotations(spine)))
+    if not report.ok or report.hand is None:
+        raise VerificationError("constructed embedding failed surface certification")
+    comp, hand = report.comp, report.hand
     b = betti_numbers(from_graph(spine))
-    return ThickeningIdentityReport(
-        ok=(comp == b.b0 + b.b2 and hand == b.b1), comp=comp, hand=hand, betti=b
-    )
+    ok = comp == b.b0 + b.b2 and hand == b.b1
+    return ThickeningIdentityReport(ok=ok, comp=comp, hand=hand, betti=b)
 
 
 class DualityReport(NamedTuple):
@@ -412,13 +402,13 @@ def check_duality_formula(spine: Graph) -> DualityReport:
     total handles has Betti vector (comp, 2 * hand, comp); it must
     equal (b0 + b2, b1 + b1, b2 + b0) of the spine.
     """
-    comp, hand = thickening_report(spine)
-    return _duality_report(comp, hand, betti_numbers(from_graph(spine)))
+    return _duality_report(check_thickening_identities(spine))
 
 
-def _duality_report(comp: int, hand: int, b: BettiVector) -> DualityReport:
+def _duality_report(t: ThickeningIdentityReport) -> DualityReport:
     """Compare the surface vector (comp, 2 * hand, comp) with the
     folded spine vector (b0 + b2, b1 + b1, b2 + b0)."""
-    surface = BettiVector(b0=comp, b1=2 * hand, b2=comp)
+    b = t.betti
+    surface = BettiVector(b0=t.comp, b1=2 * t.hand, b2=t.comp)
     expected = BettiVector(b0=b.b0 + b.b2, b1=2 * b.b1, b2=b.b2 + b.b0)
     return DualityReport(ok=(surface == expected), surface_betti=surface, expected=expected)

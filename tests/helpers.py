@@ -2,9 +2,10 @@
 
 The oracles here are deliberately dumber than the library: exhaustive
 coloring search with no bounds, rational Gaussian elimination for
-matrix rank, and the three-pass surface verifier over face quads that
-the one-pass flat verifier replaced. They exist to cross-check
-the clever implementations.
+matrix rank, dense boundary matrices read off the simplices, the twin
+``.edges`` text written out by hand, and the three-pass surface
+verifier over face quads that the one-pass flat verifier replaced.
+They exist to cross-check the clever implementations.
 """
 
 from __future__ import annotations
@@ -18,9 +19,13 @@ from spinalquad import (
     ComponentReport,
     Graph,
     QuadEmbedding,
+    RecipeError,
     SimplicialComplex,
+    chromatic_number_exact,
     components,
     interlace,
+    lift_coloring,
+    verify_proper_vertices,
 )
 
 
@@ -42,6 +47,20 @@ def random_graph_no_isolated(seed: int, max_vertices: int = 10) -> Graph:
     return Graph(range(n), edges)
 
 
+def random_tree(vertex_count: int, seed: int) -> Graph:
+    """Uniform-attachment random tree on 0..vertex_count-1.
+
+    Vertex v > 0 joins a parent drawn uniformly from 0..v-1, so the
+    result is connected and acyclic by construction, and identical
+    across runs with the same seed.
+    """
+    if vertex_count < 2:
+        raise RecipeError(f"tree needs at least 2 vertices, got {vertex_count}")
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, vertex_count)]
+    return Graph(edges=edges)
+
+
 def random_two_complex(seed: int, max_vertices: int = 8) -> SimplicialComplex:
     """Seeded random 2-complex; faces imply their edges and vertices."""
     rng = random.Random(seed)
@@ -49,6 +68,35 @@ def random_two_complex(seed: int, max_vertices: int = 8) -> SimplicialComplex:
     edges = [e for e in combinations(range(n), 2) if rng.random() < 0.3]
     triangles = [t for t in combinations(range(n), 3) if rng.random() < 0.12]
     return SimplicialComplex(vertices=range(n), edges=edges, triangles=triangles)
+
+
+def dense_boundary(k: int, sc: SimplicialComplex) -> list[list[int]]:
+    """The k-th boundary matrix, k in {1, 2}, read off the simplices.
+
+    Rows are the (k-1)-simplices and columns the k-simplices, both in
+    sorted order. A row face lies in a column simplex when the simplex
+    holds all its vertices; the entry is then (-1)^i, where i is the
+    position in the ascending simplex of the one vertex the face drops.
+    """
+    rows = [(v,) for v in sc.vertices] if k == 1 else list(sc.edges)
+    cols = sc.edges if k == 1 else sc.triangles
+
+    def entry(face: tuple[int, ...], simplex: tuple[int, ...]) -> int:
+        dropped = set(simplex) - set(face)
+        return (-1) ** simplex.index(dropped.pop()) if len(dropped) == 1 else 0
+
+    return [[entry(face, simplex) for simplex in cols] for face in rows]
+
+
+def twin_edge_text(g: Graph) -> str:
+    """The twin ``.edges`` text of a graph over encoded twin ids: a
+    ``v <id>.<copy>`` line per isolated twin, then one line per edge."""
+    def token(x: int) -> str:
+        return f"{x // 2}.{x % 2}"
+
+    lines = [f"v {token(x)}" for x in g.vertices if not g.neighbors(x)]
+    lines += [f"{token(a)} {token(b)}" for a, b in g.edges]
+    return "".join(line + "\n" for line in lines)
 
 
 def colorable_brute(g: Graph, k: int) -> bool:
@@ -81,6 +129,23 @@ def chromatic_brute(g: Graph) -> int:
     while not colorable_brute(g, k):
         k += 1
     return k
+
+
+def interlacement_chromatic_number(spine: Graph) -> int:
+    """The chromatic number of the spine, asserting that the
+    interlacement has the same one.
+
+    Upper bound: an optimal spine coloring lifts to a proper coloring
+    of the interlacement with the same palette. Lower bound: the
+    primed twins carry a copy of the spine.
+    """
+    inter = interlace(spine)
+    chi, witness = chromatic_number_exact(spine)
+    lifted = lift_coloring(inter, witness)
+    assert lifted.palette == chi
+    assert verify_proper_vertices(inter.graph, lifted).ok
+    assert all(inter.graph.has_edge(2 * u, 2 * v) for u, v in spine.edges)
+    return chi
 
 
 def mutate_quad_text(text: str, action: str, index: int = 0) -> str:

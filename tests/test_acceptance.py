@@ -30,7 +30,6 @@ from spinalquad import (
     parse_quad,
     permute_rotations,
     quadrangulate,
-    random_tree,
     spine_for,
     verify_proper_faces,
     verify_proper_vertices,
@@ -38,7 +37,7 @@ from spinalquad import (
 )
 from spinalquad.cli import run
 
-from helpers import mutate_quad_text, random_graph_no_isolated, random_two_complex
+from helpers import mutate_quad_text, random_graph_no_isolated, random_tree, random_two_complex
 
 
 def test_criterion_1_triangle_spine_torus(criterion):

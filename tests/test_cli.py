@@ -10,13 +10,14 @@ from spinalquad import (
     interlace,
     parse_edge_list,
     parse_quad,
-    parse_twin_edge_list,
     parse_vertex_coloring,
     verify_surface,
 )
 import spinalquad.cli as cli_module
 import spinalquad.verify as verify_module
 from spinalquad.cli import run
+
+from helpers import twin_edge_text
 
 K3 = "0 1\n1 2\n0 2\n"
 
@@ -38,13 +39,15 @@ def k3_quad(tmp_path, k3_file):
 def test_interlace_emits_the_doubled_graph(k3_file, capsys):
     assert run(["interlace", "--in", str(k3_file)]) == 0
     out = capsys.readouterr().out
-    assert parse_twin_edge_list(out) == interlace(parse_edge_list(K3)).graph
+    assert out == twin_edge_text(interlace(parse_edge_list(K3)).graph)
 
 
 def test_interlace_writes_file(tmp_path, k3_file):
     out = tmp_path / "doubled.edges"
     assert run(["interlace", "--in", str(k3_file), "--out", str(out)]) == 0
-    assert len(parse_twin_edge_list(out.read_text()).edges) == 12
+    text = out.read_text()
+    assert text == twin_edge_text(interlace(parse_edge_list(K3)).graph)
+    assert len(text.splitlines()) == 12
 
 
 def test_quadrangulate_then_verify(k3_quad, capsys):

@@ -7,7 +7,6 @@ from spinalquad import (
     Graph,
     ParseError,
     VertexColoring,
-    chromatic_equality_check,
     chromatic_number_exact,
     complete_graph,
     complete_minus_clique,
@@ -19,12 +18,17 @@ from spinalquad import (
     lift_coloring,
     parse_vertex_coloring,
     quadrangulate,
-    random_tree,
     verify_proper_faces,
     verify_proper_vertices,
 )
 
-from helpers import chromatic_brute, quad_sides, random_graph_no_isolated
+from helpers import (
+    chromatic_brute,
+    interlacement_chromatic_number,
+    quad_sides,
+    random_graph_no_isolated,
+    random_tree,
+)
 
 
 def petersen() -> Graph:
@@ -179,16 +183,11 @@ def test_lift_rejects_improper_input_with_edge():
     ],
 )
 def test_chromatic_equality_fixtures(spine, chi):
-    report = chromatic_equality_check(interlace(spine))
-    assert report.ok
-    assert report.chromatic_number == chi
-    assert report.lift_proper and report.contains_spine_copy
+    assert interlacement_chromatic_number(spine) == chi
 
 
 def test_chromatic_equality_on_petersen():
-    report = chromatic_equality_check(interlace(petersen()))
-    assert report.ok
-    assert report.chromatic_number == 3
+    assert interlacement_chromatic_number(petersen()) == 3
 
 
 def test_face_coloring_uses_source_colors_and_is_proper():

@@ -15,10 +15,11 @@ from spinalquad import (
     format_edge_list,
     min_quad_vertices,
     minimality_report,
-    random_tree,
     spine_for,
 )
 from spinalquad import families
+
+from helpers import random_tree
 
 
 def test_complete_graph_shape():

@@ -16,7 +16,6 @@ from spinalquad import (
     parse_complex,
     parse_edge_list,
     parse_quad,
-    parse_twin_edge_list,
     parse_vertex_coloring,
     permute_rotations,
     quadrangulate,
@@ -171,10 +170,6 @@ PARSERS = {
         "bad": "0 x", "arity": "0 1 2", "negative": "0 -1", "self_loop": "2 2",
         "non_decimal": ("0 {}", "v {}"), "too_long": f"0 {TOO_LONG}",
     }),
-    "twin_edges": (parse_twin_edge_list, ("0.0 1.1", "v 5.1", "v 5.1"), {
-        "bad": "0.0 x", "arity": "0.0 1.0 2.0", "negative": "0.0 -1.0", "self_loop": "2.1 2.1",
-        "non_decimal": ("0.0 {}.1", "v {}.0"), "too_long": f"0.0 {TOO_LONG}.1",
-    }),
     "complex": (parse_complex, ("0 1 2", "3", "3"), {
         "bad": "0 x", "arity": "0 1 2 3", "negative": "0 -1", "self_loop": "2 2",
         "non_decimal": ("0 {} 2",), "too_long": f"0 {TOO_LONG}",
@@ -187,6 +182,7 @@ PARSERS = {
         "negative": "0.0 -1.0 0.1 1.1 src=0",
         "non_decimal": ("0.0 {}.0 0.1 1.1 src=0", "0.0 1.0 0.1 1.1 src={}", "quad {} 8 2 1", "quad 4 8 2 {}"),
         "too_long": f"0.0 1.0 0.1 1.1 src={TOO_LONG}",
+        "too_long_twin": f"0.0 {TOO_LONG}.0 0.1 1.1 src=0",
         "mislabelled": "0.0 1.0 0.1 1.1 src=1",
     }),
     "coloring": (parse_vertex_coloring, ("colors 3", "0 2", "0 2"), {

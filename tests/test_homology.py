@@ -10,20 +10,18 @@ from spinalquad import (
     ParseError,
     SimplicialComplex,
     betti_numbers,
-    boundary_matrix,
     boundary_rank,
     components,
     cycle_rank,
     euler_poincare_check,
-    format_complex,
     from_graph,
     matrix_rank_exact,
     parse_complex,
 )
 from spinalquad import homology
-from spinalquad.homology import _sparse_rank
+from spinalquad.homology import _boundary_rows, _sparse_rank
 
-from helpers import random_two_complex, rank_by_fractions
+from helpers import dense_boundary, random_two_complex, rank_by_fractions
 
 
 def sparse(rows: list[list[int]]) -> list[dict[int, int]]:
@@ -97,18 +95,20 @@ def test_rank_matches_rational_elimination_on_random_matrices():
 
 def test_boundary_matrix_of_one_triangle():
     sc = SimplicialComplex(triangles=[(0, 1, 2)])
-    d2 = boundary_matrix(2, sc)
+    d2 = dense_boundary(2, sc)
     # Rows follow the sorted edge order (0,1), (0,2), (1,2).
     assert d2 == [[1], [-1], [1]]
-    d1 = boundary_matrix(1, sc)
+    d1 = dense_boundary(1, sc)
     assert d1 == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
+    assert _boundary_rows(2, sc) == (sparse(d2), 1)
+    assert _boundary_rows(1, sc) == (sparse(d1), 3)
 
 
 def test_boundary_composition_vanishes():
     for seed in range(20):
         sc = random_two_complex(seed)
-        d1 = boundary_matrix(1, sc)
-        d2 = boundary_matrix(2, sc)
+        d1 = dense_boundary(1, sc)
+        d2 = dense_boundary(2, sc)
         if not d2 or not d2[0]:
             continue
         for j in range(len(d2[0])):
@@ -197,16 +197,13 @@ def test_parse_complex_applies_closure():
 
 
 def test_complex_round_trip():
+    # Every simplex written out, faces before their cofaces, reads back
+    # as the same complex.
     for seed in range(15):
         sc = random_two_complex(seed)
-        assert parse_complex(format_complex(sc)) == sc
-
-
-def test_format_complex_emits_maximal_simplices_only():
-    sc = SimplicialComplex(triangles=[(0, 1, 2)])
-    text = format_complex(sc)
-    assert "0 1 2" in text
-    assert "0 1\n" not in text
+        simplices = [(v,) for v in sc.vertices] + list(sc.edges) + list(sc.triangles)
+        text = "".join(" ".join(map(str, s)) + "\n" for s in simplices)
+        assert parse_complex(text) == sc
 
 
 @pytest.mark.parametrize("text", ["0 1 2 3", "a b", "-1 2", "1 1", "0 1 1"])
@@ -241,10 +238,14 @@ def test_sparse_rank_edge_cases():
 
 
 def test_boundary_rank_matches_dense_rank_on_random_complexes():
+    # The reference matrix is read off the simplices, so the dense rank
+    # shares no code with the sparse rows and rank it checks.
     for seed in range(40):
         sc = random_two_complex(seed, max_vertices=12)
         for k in (1, 2):
-            assert boundary_rank(k, sc) == matrix_rank_exact(boundary_matrix(k, sc))
+            dense = dense_boundary(k, sc)
+            assert _boundary_rows(k, sc) == (sparse(dense), len(sc.edges if k == 1 else sc.triangles))
+            assert boundary_rank(k, sc) == matrix_rank_exact(dense)
 
 
 # Six-vertex real projective plane: the antipodal quotient of the

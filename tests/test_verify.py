@@ -20,8 +20,6 @@ from spinalquad import (
     parse_quad,
     permute_rotations,
     quadrangulate,
-    random_tree,
-    thickening_report,
     verify_proper_faces,
     verify_surface,
 )
@@ -31,6 +29,7 @@ from helpers import (
     oracle_face_adjacencies,
     oracle_verify_surface,
     random_graph_no_isolated,
+    random_tree,
     seed_quad_text,
 )
 
@@ -107,17 +106,18 @@ def test_unverified_component_reports_no_genus():
     ],
 )
 def test_thickening_report_counts(spine, expected):
-    assert thickening_report(spine) == expected
+    report = check_thickening_identities(spine)
+    assert (report.comp, report.hand) == expected
 
 
 def test_thickening_refuses_the_empty_spine():
     with pytest.raises(ValueError, match="no vertices"):
-        thickening_report(Graph())
+        check_thickening_identities(Graph())
 
 
 def test_thickening_refuses_isolated_vertices():
     with pytest.raises(IsolatedVertexError):
-        thickening_report(Graph(vertices=[9], edges=[(0, 1)]))
+        check_thickening_identities(Graph(vertices=[9], edges=[(0, 1)]))
 
 
 def test_identity_check_on_fixtures():
