@@ -11,6 +11,7 @@ randomness sits behind ``--seed``, which defaults to 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -166,6 +167,10 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built once per process: run() is called in process many times, and
+# building the ten-subcommand tree costs far more than one parse. The
+# handlers look up module globals when called, not when built.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinalquad",
@@ -234,6 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
+    """Run one command line, given without the program name, and return
+    its exit code. Safe to call repeatedly in one process."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

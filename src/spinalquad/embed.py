@@ -33,6 +33,7 @@ every interlacement edge lies on exactly two face sides.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,8 +93,13 @@ def permute_rotations(rotations: RotationSystem, seed: int) -> RotationSystem:
     """Replace each rotation by a seeded pseudorandom permutation.
 
     Deterministic for a fixed seed: vertices are visited in ascending
-    order and shuffled by one seeded generator.
+    order and shuffled by one seeded generator. A negative seed raises
+    ValueError: ``random.Random`` seeds from the absolute value, so
+    ``-s`` would silently repeat seed ``s``.
     """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"negative rotation seed {seed}")
     rng = random.Random(seed)
     out: RotationSystem = {}
     for v in sorted(rotations):

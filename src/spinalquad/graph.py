@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import count
 
 Edge = tuple[int, int]
 
@@ -152,10 +153,9 @@ def _records(text: str) -> Iterator[tuple[int, list[str]]]:
     data.
     """
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split("#", 1)[0].split()
-        if tokens:
-            yield lineno, tokens
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    return filter(operator.itemgetter(1), zip(count(1), map(str.split, lines)))
 
 
 def _decimal(token: str, lineno: int, what: str) -> int:

@@ -42,7 +42,7 @@ class SimplicialComplex:
     1-skeleton, so vertices and edges obey its rules.
     """
 
-    __slots__ = ("_vertices", "_edges", "_triangles")
+    __slots__ = ("_skeleton", "_triangles")
 
     def __init__(
         self,
@@ -59,18 +59,16 @@ class SimplicialComplex:
             a, b, c = tt
             ts.add((a, b, c))
             sides += ((a, b), (a, c), (b, c))
-        skeleton = Graph(vertices, [*edges, *sides])
-        self._vertices = skeleton.vertices
-        self._edges = skeleton.edges
+        self._skeleton = Graph(vertices, [*edges, *sides])
         self._triangles = tuple(sorted(ts))
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return self._vertices
+        return self._skeleton.vertices
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return self._edges
+        return self._skeleton.edges
 
     @property
     def triangles(self) -> tuple[Triangle, ...]:
@@ -79,27 +77,23 @@ class SimplicialComplex:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return (
-            self._vertices == other._vertices
-            and self._edges == other._edges
-            and self._triangles == other._triangles
-        )
+        return self._skeleton == other._skeleton and self._triangles == other._triangles
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._edges, self._triangles))
+        return hash((self._skeleton, self._triangles))
 
     def __repr__(self) -> str:
         return (
-            f"SimplicialComplex({len(self._vertices)} vertices, "
-            f"{len(self._edges)} edges, {len(self._triangles)} triangles)"
+            f"SimplicialComplex({len(self._skeleton.vertices)} vertices, "
+            f"{len(self._skeleton.edges)} edges, {len(self._triangles)} triangles)"
         )
 
 
 def from_graph(g: Graph) -> SimplicialComplex:
     """View a graph as a 1-dimensional complex. The graph already obeys
-    the 1-skeleton rules, so its vertices and edges are taken as is."""
+    the 1-skeleton rules, so it is kept as the skeleton."""
     c = SimplicialComplex.__new__(SimplicialComplex)
-    c._vertices, c._edges, c._triangles = g.vertices, g.edges, ()
+    c._skeleton, c._triangles = g, ()
     return c
 
 
@@ -263,7 +257,7 @@ def euler_poincare_check(complex: SimplicialComplex) -> EulerPoincareReport:
     """
     chi = len(complex.vertices) - len(complex.edges) + len(complex.triangles)
     b = betti_numbers(complex)
-    b0 = len(components(Graph(complex.vertices, complex.edges)))
+    b0 = len(components(complex._skeleton))
     ok = chi == b.b0 - b.b1 + b.b2 and b.b0 == b0
     return EulerPoincareReport(ok=ok, euler_characteristic=chi, betti=b)
 

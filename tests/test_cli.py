@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 
@@ -371,3 +372,43 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     second = subprocess.run(cmd, capture_output=True, text=True)
     assert first.returncode == 0
     assert first.stdout == second.stdout == "comp=1 hand=3 identity_check=true duality_check=true\n"
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys, monkeypatch):
+    # run() reuses one parser per process; each call must still answer
+    # exactly as a fresh interpreter does, and build no parser of its own.
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width in both
+    edges = tmp_path / "k3.edges"
+    edges.write_text(K3)
+    sc = tmp_path / "triangle.sc"
+    sc.write_text("0 1 2\n")
+    calls = [
+        ["betti", "--graph", str(edges), "--complex", str(sc)],
+        ["betti", "--graph", str(edges)],
+        ["betti", "--complex", str(sc)],
+        ["quadrangulate", "--in", str(edges), "--seed", "5", "--out", "{out}"],
+        ["quadrangulate", "--in", str(edges)],
+        ["--help"],
+        ["chroma", "--help"],
+    ]
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    built_by_first_call = None
+    for argv in calls:
+        here, fresh = tmp_path / "here.quad", tmp_path / "fresh.quad"
+        code = run([arg.format(out=here) for arg in argv])
+        if built_by_first_call is None:
+            built_by_first_call = len(parsers)
+        got = capsys.readouterr()
+        cmd = [sys.executable, "-m", "spinalquad.cli", *(arg.format(out=fresh) for arg in argv)]
+        expected = subprocess.run(cmd, capture_output=True, text=True)
+        assert (code, got.out, got.err) == (expected.returncode, expected.stdout, expected.stderr), argv
+        if "{out}" in argv:
+            assert here.read_bytes() == fresh.read_bytes()
+    assert len(parsers) == built_by_first_call

@@ -12,6 +12,7 @@ from spinalquad import (
     complete_graph,
     default_rotations,
     face_coloring_from_sources,
+    format_edge_list,
     format_face_coloring,
     format_quad,
     format_vertex_coloring,
@@ -44,6 +45,16 @@ def test_permute_rotations_is_deterministic_permutation():
     for v in g.vertices:
         assert sorted(a[v]) == sorted(base[v])
     assert permute_rotations(base, 12) != a
+
+
+def test_negative_rotation_seed_is_refused(tmp_path, capsys):
+    # random.Random seeds from abs(), so -7 would silently repeat seed 7.
+    with pytest.raises(ValueError, match="negative rotation seed -7"):
+        permute_rotations(default_rotations(complete_graph(4)), -7)
+    spine = tmp_path / "k4.edges"
+    spine.write_text(format_edge_list(complete_graph(4)))
+    assert run(["quadrangulate", "--in", str(spine), "--seed", "-7"]) == 2
+    assert capsys.readouterr() == ("", "error: negative rotation seed -7\n")
 
 
 def test_triangle_spine_face_list_is_frozen():

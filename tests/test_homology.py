@@ -181,6 +181,23 @@ def test_euler_poincare_catches_a_wrong_edge_boundary_rank(monkeypatch):
     assert not report.ok
 
 
+def test_euler_poincare_reuses_the_skeleton_of_the_complex(monkeypatch):
+    # The complex built and validated its 1-skeleton once; the component
+    # count of the check reads that graph instead of building another.
+    complexes = (random_two_complex(3), from_graph(Graph(edges=[(0, 1), (2, 3)])))
+    built = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    reports = [euler_poincare_check(sc) for sc in complexes]
+    assert built == []
+    assert all(report.ok for report in reports)
+
+
 SC_FILE = """\
 # one filled triangle, one stray edge, one loner vertex
 0 1 2
