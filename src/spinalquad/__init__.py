@@ -57,7 +57,6 @@ from .homology import (
     boundary_rank,
     euler_poincare_check,
     from_graph,
-    matrix_rank_exact,
     parse_complex,
 )
 from .interlace import (
@@ -114,7 +113,6 @@ __all__ = [
     "from_graph",
     "interlace",
     "lift_coloring",
-    "matrix_rank_exact",
     "min_quad_vertices",
     "minimality_report",
     "parse_complex",

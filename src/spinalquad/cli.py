@@ -32,7 +32,7 @@ from .families import (
     minimality_report,
     spine_for,
 )
-from .graph import format_edge_list, parse_edge_list
+from .graph import ParseError, _decimal, format_edge_list, parse_edge_list
 from .homology import betti_numbers, from_graph, parse_complex
 from .interlace import format_twin_edge_list, interlace
 from .verify import (
@@ -45,6 +45,18 @@ from .verify import (
 
 def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
+
+
+def _integer(token: str) -> int:
+    """Read an integer option as ``_decimal`` reads a file's integers,
+    with one leading ``-`` passed on, so that the library's own checks
+    refuse a negative value and say why."""
+    negative = token[:1] == "-"
+    try:
+        value = _decimal(token[negative:], 0, "integer")
+    except ParseError:
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {token!r}") from None
+    return -value if negative else value
 
 
 def _read(path: str) -> str:
@@ -185,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quadrangulate", help="emit the quadrilateral embedding")
     p.add_argument("--in", dest="infile", required=True, metavar="EDGES")
-    p.add_argument("--seed", type=int, default=0, help="rotation permutation seed (default 0)")
+    p.add_argument("--seed", type=_integer, default=0, help="rotation permutation seed (default 0)")
     p.add_argument("--out", default=None, metavar="QUAD")
     p.set_defaults(handler=_cmd_quadrangulate)
 
@@ -207,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, metavar="EDGES")
     p.add_argument(
         "--cap",
-        type=int,
+        type=_integer,
         default=DEFAULT_VERTEX_CAP,
         help=f"exact-solver vertex cap (default {DEFAULT_VERTEX_CAP})",
     )
@@ -219,20 +231,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_facecolor)
 
     p = sub.add_parser("spine", help="synthesize a spine for (genus, palette, vertex) targets")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--chi", type=int, required=True, help="target chromatic number")
-    p.add_argument("--vertices", type=int, required=True, help="target quad vertex count")
+    p.add_argument("--genus", type=_integer, required=True)
+    p.add_argument("--chi", type=_integer, required=True, help="target chromatic number")
+    p.add_argument("--vertices", type=_integer, required=True, help="target quad vertex count")
     p.add_argument("--out", default=None, metavar="EDGES")
     p.set_defaults(handler=_cmd_spine)
 
     p = sub.add_parser("family", help="minimality certificate for a near-complete spine")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--m", type=_integer, required=True)
     p.add_argument("--emit-spine", default=None, metavar="EDGES")
     p.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser("bound", help="minimum quad vertex count for a genus")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_integer, required=True)
     p.set_defaults(handler=_cmd_bound)
 
     return parser

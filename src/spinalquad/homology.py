@@ -1,13 +1,13 @@
 """Exact rational Betti numbers of simplicial complexes of dimension <= 2.
 
 Complexes are abstract and downward-closed. Ranks of the boundary
-operators are computed by sparse elimination over arbitrary precision
-integers: rows are kept as dicts, and pivots of value +1 or -1 are
-taken first, so every update stays an exact integer. Only the block
-left without a unit entry goes to dense fraction-free (Bareiss)
-elimination. Every reported number is exact; no floating point is
-involved anywhere. Torsion is deliberately ignored: only the rational
-Betti numbers are reported.
+operators are computed by one sparse elimination over arbitrary
+precision integers: rows are kept as dicts, pivots of value +1 or -1
+are taken whenever the pivot row has one, and a row without one is
+cleared fraction-free, so every update stays an exact integer. Every
+reported number is exact; no floating point is involved anywhere.
+Torsion is deliberately ignored: only the rational Betti numbers are
+reported.
 
 Orientation convention: listing a simplex's vertices in ascending
 order defines its positive orientation, and boundary signs alternate
@@ -18,6 +18,7 @@ tuple, which makes every matrix, rank, and Betti vector reproducible.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 from typing import Iterable, NamedTuple
 
@@ -38,8 +39,9 @@ class SimplicialComplex:
 
     The constructor completes the downward closure: every edge of every
     triangle and every endpoint of every edge is added automatically.
-    Triangles with a repeated vertex are rejected; ``Graph`` builds the
-    1-skeleton, so vertices and edges obey its rules.
+    A triangle of other than three ids, or with a repeated vertex, is
+    rejected; ``Graph`` builds the 1-skeleton, so vertices and edges
+    obey its rules.
     """
 
     __slots__ = ("_skeleton", "_triangles")
@@ -54,7 +56,9 @@ class SimplicialComplex:
         sides: list[Edge] = []
         for t in triangles:
             tt = tuple(sorted(operator.index(x) for x in t))
-            if len(tt) != 3 or len(set(tt)) != 3:
+            if len(tt) != 3:
+                raise ValueError(f"triangle of {len(tt)} vertex ids, not 3: {t}")
+            if len(set(tt)) != 3:
                 raise ValueError(f"triangle with repeated vertex: {t}")
             a, b, c = tt
             ts.add((a, b, c))
@@ -97,37 +101,6 @@ def from_graph(g: Graph) -> SimplicialComplex:
     return c
 
 
-def matrix_rank_exact(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix.
-
-    One-step fraction-free (Bareiss) elimination: every intermediate
-    entry is an exact integer, every division is exact, and the pivot
-    count is the rank. Row order is whatever the caller passed; the
-    rank does not depend on it.
-    """
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
-
-
 def _boundary_rows(k: int, complex: SimplicialComplex) -> tuple[list[dict[int, int]], int]:
     """Sparse rows of the k-th boundary operator, k in {1, 2}, and its
     column count.
@@ -156,13 +129,14 @@ def _sparse_rank(rows: list[dict[int, int]]) -> int:
     """Rank over the rationals of a sparse integer matrix.
 
     Each row maps a column to a nonzero integer; the rows are consumed.
-    While some row holds a +1 or -1 entry, the shortest such row is the
-    pivot row, and among its unit entries the one whose column meets
-    the fewest rows is the pivot (least fill). Clearing that column
-    from the other rows multiplies by the pivot, its own inverse, so
-    every entry stays an exact integer. The rows left without a unit
-    entry are compressed to a dense block ranked by
-    ``matrix_rank_exact``.
+    The shortest live row is always the pivot row. Among its +1 and -1
+    entries the one whose column meets the fewest rows is the pivot
+    (least fill), and clearing that column from the other rows
+    multiplies by the pivot, its own inverse. A pivot row without a
+    unit entry pivots on its entry of least fill instead: each other row
+    is scaled by the pivot before the subtraction and then divided by
+    the gcd of its entries. Either way every entry stays an exact
+    integer, and every row taken as a pivot adds one to the rank.
     """
     live = {i: row for i, row in enumerate(rows) if row}
     col_rows: dict[int, set[int]] = {}
@@ -171,8 +145,8 @@ def _sparse_rank(rows: list[dict[int, int]]) -> int:
             col_rows.setdefault(j, set()).add(i)
     # Lazy heap of (row length, row id), pushed again whenever a row
     # changes, so every live row has an entry of its current length. A
-    # popped entry whose row is gone, has another length or holds no
-    # unit is skipped; no pivot search rescans the matrix.
+    # popped entry whose row is gone or has another length is skipped;
+    # no pivot search rescans the matrix.
     heap = [(len(row), i) for i, row in live.items()]
     heapq.heapify(heap)
     rank = 0
@@ -182,16 +156,19 @@ def _sparse_rank(rows: list[dict[int, int]]) -> int:
         if pivot_row is None or len(pivot_row) != length:
             continue
         units = [j for j, x in pivot_row.items() if x == 1 or x == -1]
-        if not units:
-            continue
-        c = min(units, key=lambda j: (len(col_rows[j]), j))
+        c = min(units or pivot_row, key=lambda j: (len(col_rows[j]), j))
         p = pivot_row[c]
         del live[r]
         for j in pivot_row:
             col_rows[j].discard(r)
         for i in col_rows.pop(c):
             row = live[i]
-            factor = row.pop(c) * p
+            factor = row.pop(c)
+            if units:
+                factor *= p
+            else:
+                for j in row:
+                    row[j] *= p
             for j, x in pivot_row.items():
                 if j == c:
                     continue
@@ -203,21 +180,16 @@ def _sparse_rank(rows: list[dict[int, int]]) -> int:
                 elif j in row:
                     del row[j]
                     col_rows[j].discard(i)
+            if row and not units:
+                g = math.gcd(*row.values())
+                for j in row:
+                    row[j] //= g
             if row:
                 heapq.heappush(heap, (len(row), i))
             else:
                 del live[i]
         rank += 1
-    if not live:
-        return rank
-    index = {j: n for n, j in enumerate(sorted({j for row in live.values() for j in row}))}
-    block = []
-    for row in live.values():
-        dense = [0] * len(index)
-        for j, x in row.items():
-            dense[index[j]] = x
-        block.append(dense)
-    return rank + matrix_rank_exact(block)
+    return rank
 
 
 def boundary_rank(k: int, complex: SimplicialComplex) -> int:

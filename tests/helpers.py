@@ -1,10 +1,11 @@
 """Seeded generators and naive oracles shared across the test suite.
 
 The oracles here are deliberately dumber than the library: exhaustive
-coloring search with no bounds, rational Gaussian elimination for
-matrix rank, dense boundary matrices read off the simplices, the twin
-``.edges`` text written out by hand, and the three-pass surface
-verifier over face quads that the one-pass flat verifier replaced.
+coloring search with no bounds, rational Gaussian and dense Bareiss
+elimination for matrix rank, dense boundary matrices read off the
+simplices, the twin ``.edges`` text written out by hand, and the
+three-pass surface verifier over face quads that the one-pass flat
+verifier replaced.
 They exist to cross-check the clever implementations.
 """
 
@@ -372,3 +373,66 @@ def rank_by_fractions(rows: list[list[int]]) -> int:
         if rank == n_rows:
             break
     return rank
+
+
+def matrix_rank_exact(rows: list[list[int]]) -> int:
+    """Matrix rank over the rationals by dense one-step fraction-free
+    (Bareiss) elimination: every intermediate entry is an exact integer,
+    every division is exact, and the pivot count is the rank."""
+    m = [row[:] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    prev = 1
+    for c in range(ncols):
+        pivot_row = next((i for i in range(rank, nrows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        for i in range(rank + 1, nrows):
+            for j in range(c + 1, ncols):
+                m[i][j] = (m[i][j] * m[rank][c] - m[i][c] * m[rank][j]) // prev
+            m[i][c] = 0
+        prev = m[rank][c]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def rank_mod_2(rows: list[list[int]]) -> int:
+    """Matrix rank over GF(2), rows packed into int bitmasks. An
+    elimination that only ever pivots on +1 or -1 is also valid mod 2,
+    so where this is below the rational rank, some pivot cannot be a
+    unit."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        bits = sum(1 << j for j, x in enumerate(row) if x % 2)
+        while bits:
+            top = bits.bit_length() - 1
+            if top not in basis:
+                basis[top] = bits
+                break
+            bits ^= basis[top]
+    return len(basis)
+
+
+def twisted_grid_klein_bottle(a: int) -> SimplicialComplex:
+    """The a-by-a triangulated grid glued into a Klein bottle (a >= 5):
+    the i-direction wraps plainly and the j-direction wraps with i
+    reflected. Rational Betti numbers (1, 1, 0); its integral H1 has a
+    Z/2, so its triangle boundary has no unit-only elimination."""
+
+    def at(i: int, j: int) -> int:
+        if j == a:
+            i, j = -i, 0
+        return (i % a) * a + j
+
+    return SimplicialComplex(
+        triangles=[
+            t
+            for i in range(a)
+            for j in range(a)
+            for t in ((at(i, j), at(i + 1, j), at(i + 1, j + 1)), (at(i, j), at(i, j + 1), at(i + 1, j + 1)))
+        ]
+    )

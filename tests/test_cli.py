@@ -18,7 +18,7 @@ import spinalquad.cli as cli_module
 import spinalquad.verify as verify_module
 from spinalquad.cli import run
 
-from helpers import twin_edge_text
+from helpers import dense_boundary, rank_mod_2, twin_edge_text, twisted_grid_klein_bottle
 
 K3 = "0 1\n1 2\n0 2\n"
 
@@ -143,6 +143,18 @@ def test_betti_graph_and_complex(tmp_path, k3_file, capsys):
     sc.write_text("0 1 2\n")
     assert run(["betti", "--complex", str(sc)]) == 0
     assert capsys.readouterr().out == "b0=1 b1=0 b2=0\n"
+
+
+def test_betti_of_a_klein_bottle(tmp_path, capsys):
+    # Its integral H1 has a Z/2: mod 2 the triangle boundary loses a
+    # rank, so its exact rank needs a non-unit pivot.
+    klein = twisted_grid_klein_bottle(6)
+    assert len(klein.vertices) - len(klein.edges) + len(klein.triangles) == 0
+    assert rank_mod_2(dense_boundary(2, klein)) == len(klein.triangles) - 1
+    sc = tmp_path / "klein.sc"
+    sc.write_text("".join(f"{a} {b} {c}\n" for a, b, c in klein.triangles))
+    assert run(["betti", "--complex", str(sc)]) == 0
+    assert capsys.readouterr() == ("b0=1 b1=1 b2=0\n", "")
 
 
 def test_betti_requires_exactly_one_source(k3_file, tmp_path, capsys):
@@ -349,6 +361,37 @@ def test_usage_errors(capsys):
     assert run(["bound"]) == 2
     assert run(["bound", "--genus", "x"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spelling", ["+3", "0_3", " 3", "3 ", "\u0663", "3.0", "-\u0663", ""])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quadrangulate", "--in", "k3.edges", "--seed"],
+        ["chroma", "--in", "k3.edges", "--cap"],
+        ["spine", "--chi", "3", "--vertices", "8", "--genus"],
+        ["spine", "--genus", "1", "--vertices", "8", "--chi"],
+        ["spine", "--genus", "1", "--chi", "3", "--vertices"],
+        ["family", "--m", "2", "--n"],
+        ["family", "--n", "8", "--m"],
+        ["bound", "--genus"],
+    ],
+)
+def test_integer_options_take_only_decimal_digits(argv, spelling, capsys):
+    # One value, one spelling, as in every file format: int() would also
+    # take a sign, "_", spaces and non-ASCII digits.
+    assert run([*argv, spelling]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f": error: argument {argv[-1]}: expected a decimal integer, got {spelling!r}\n")
+    assert "line" not in err
+
+
+def test_integer_options_pass_a_minus_sign_to_the_library(capsys):
+    assert run(["bound", "--genus", "03"]) == 0
+    assert capsys.readouterr() == ("8\n", "")
+    assert run(["bound", "--genus", "-3"]) == 2
+    assert capsys.readouterr() == ("", "error: vertex floor needs genus >= 1, got -3\n")
 
 
 def test_help_exits_zero(capsys):

@@ -127,6 +127,7 @@ DELETED = {
     "boundary_matrix",
     "chromatic_equality_check",
     "format_complex",
+    "matrix_rank_exact",
     "parse_twin_edge_list",
     "random_tree",
     "thickening_report",
