@@ -11,14 +11,15 @@ A proper spine coloring lifts to the interlacement by giving both
 twins of a vertex the vertex's color, and pushes forward to faces of a
 quadrilateral embedding by giving each face the color of its source.
 Both transfers preserve properness; the checks here certify that on
-each concrete instance instead of assuming it. Both face checks make one
-pass over the face sides, with one label for every face or with the colors.
+each concrete instance instead of assuming it. Both face checks sort the
+face sides once, keyed with one label for every face or with the colors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress, count, islice
+from operator import eq
 from typing import Mapping, NamedTuple, Sequence
 
 from .embed import QuadEmbedding
@@ -94,27 +95,49 @@ def verify_proper_vertices(g: Graph, coloring: VertexColoring) -> PropernessRepo
 
 def _shared_sides(q: QuadEmbedding, labels: Sequence[int]) -> list[tuple]:
     """Sorted (i, j, (a, b)) triples for faces i < j that meet side
-    {a, b}, a <= b, and have equal non-negative labels; a face meeting
-    a side more than once counts once."""
+    {a, b}, a <= b, and have equal labels; a face meeting a side more
+    than once counts once.
+
+    Each dart (face side) is keyed by its side and its face's label,
+    one int per dart. The keys are sorted rather than tabled: only a
+    key met twice can be shared, and a proper coloring, which shares
+    no key, stops after the sort. Otherwise the darts are sorted by
+    key once more to read the faces of each run of equal keys."""
     corners = q.corners
+    nfaces = len(labels)
     width = max(corners, default=0) + 1
     base = max(labels, default=0) + 1
+    # The darts are listed side by side: entry j * nfaces + f runs from
+    # corner j of face f to corner j + 1.
     columns = [corners[j::4] for j in range(4)]
-    # Each dart is keyed by its side and its face's label: the first face
-    # seen keeps the key, and any other face with that key shares it.
-    first: dict[int, int] = {}
-    shared: dict[int, set[int]] = {}
-    for j in range(4):
-        darts = zip(columns[j], columns[j - 3], labels)  # corner j to corner j + 1
-        keys = [(a * width + b if a < b else b * width + a) * base + c for a, b, c in darts]
-        for f, i in enumerate(map(first.setdefault, keys, range(len(keys)))):
-            if i != f:
-                shared.setdefault(keys[f], {i}).add(f)
-    return sorted(
-        (i, j, divmod(key // base, width))
-        for key, faces in shared.items()
-        for i, j in combinations(sorted(faces), 2)
-    )
+    darts = chain.from_iterable(zip(columns[j], columns[j - 3], labels) for j in range(4))
+    keys = [(a * width + b if a < b else b * width + a) * base + c for a, b, c in darts]
+    del columns
+    ordered = sorted(keys)
+    # Each k with ordered[k] == ordered[k + 1].
+    ties = list(compress(count(), map(eq, ordered, islice(ordered, 1, None))))
+    if not ties:
+        return []
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    del keys
+    triples = []
+    stop = 0
+    for k in ties:
+        if k < stop:
+            continue
+        stop = k + 2
+        while stop < len(ordered) and ordered[stop] == ordered[k]:
+            stop += 1
+        side = divmod(ordered[k] // base, width)
+        if stop == k + 2:  # most shared keys are met by exactly two darts
+            i, j = sorted((order[k] % nfaces, order[k + 1] % nfaces))
+            if i != j:
+                triples.append((i, j, side))
+        else:
+            faces = sorted({order[x] % nfaces for x in range(k, stop)})
+            triples += [(i, j, side) for i, j in combinations(faces, 2)]
+    triples.sort()
+    return triples
 
 
 def face_adjacencies(q: QuadEmbedding) -> list[tuple[int, int, tuple[int, int]]]:
@@ -237,11 +260,13 @@ def chromatic_number_exact(
 ) -> tuple[int, VertexColoring]:
     """Minimum proper-coloring size with a witness, exactly.
 
-    Raises CapExceededError when the graph has more vertices than
-    ``cap``; never returns a heuristic answer. The witness is
-    canonicalized by first color occurrence in ascending vertex order,
-    so it is deterministic.
+    Raises ValueError for a negative ``cap`` and CapExceededError when
+    the graph has more vertices than ``cap``; never returns a heuristic
+    answer. The witness is canonicalized by first color occurrence in
+    ascending vertex order, so it is deterministic.
     """
+    if cap < 0:
+        raise ValueError(f"negative vertex cap {cap}")
     if len(g.vertices) > cap:
         raise CapExceededError(
             f"graph has {len(g.vertices)} vertices, exact solver capped at {cap}"

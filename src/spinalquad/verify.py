@@ -9,11 +9,18 @@ read off the spine rather than built: a side (a, b) is an edge iff
 The face sides are darts, one per face and position, grouped by side
 with one sort of packed ints (the dart technique of combinatorial
 maps; Lando & Zvonkin, Graphs on Surfaces and Their Applications,
-2004). A side met by exactly two darts, both in faces of the edge's
-own component, is a clean pair and is read in columns; every other
-side (another count, a non-edge, a dart in a face of another
-component) is read dart by dart in the same pass. The checks, in
-order:
+2004). A side met by exactly two darts running opposite ways, both in
+faces of the edge's own component, is a clean pair and is read in
+columns; every other side (another count, a non-edge, two darts
+running the same way, a dart in a face of another component) is read
+dart by dart in the same pass.
+
+The pass is lean in memory. While the sorted keys live they are its
+only list with a Python int per dart: the other per-dart columns are a
+bytearray (which corners count) or arrays of machine words (the clean
+pairs), and the dart after a dart is computed rather than stored. The
+union-find list over corners is made only once the keys are freed.
+The checks, in order:
 
   (a) every face is a simple 4-cycle of the interlacement;
   (b) every interlacement edge carries exactly two face sides;
@@ -46,11 +53,12 @@ verified surface on the other, so neither side trusts the other.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice
-from operator import eq, not_
+from itertools import chain, compress, count, islice, pairwise, repeat
+from operator import eq, gt, xor
 from typing import NamedTuple
 
 from .embed import QuadEmbedding, default_rotations, quadrangulate
@@ -139,88 +147,81 @@ def verify_surface(q: QuadEmbedding) -> SurfaceReport:
     stray = nblocks - 1
 
     # Dart d = 4f + j runs along side j of face f, from corner d to
-    # corner fol[d] = 4f + (j + 1) % 4. A corner is an end of its
+    # corner _fol(d) = 4f + (j + 1) % 4. A corner is an end of its
     # twin's link only when the twin lies in the component of the
-    # corner's face: kept[d].
-    columns = [corners[j::4] for j in range(4)]
-    face_block = [block_of.get(x, stray) for x in columns[0]]
-    dart_block = chain.from_iterable(zip(face_block, face_block, face_block, face_block))
-    kept = [block_of.get(x, stray) == b for x, b in zip(corners, dart_block)]
-    parent = list(range(ndarts))
-    fol = parent[1:] + parent[:1]
-    fol[3::4] = parent[0::4]
+    # corner's face: kept[d]. Corner 0 names that component, so it is
+    # always kept.
+    face_block = list(map(block_of.get, corners[0::4], repeat(stray)))
+    kept = bytearray(b"\1") * ndarts
+    for j in (1, 2, 3):
+        kept[j::4] = bytes(map(eq, map(block_of.get, corners[j::4], repeat(stray)), face_block))
 
     # A face that repeats two neighbouring corners has a side (x, x),
     # which is never an edge; repeats across a diagonal are found here.
     simple = [True] * nblocks
     simple[stray] = False
-    for b, x0, x1, x2, x3 in zip(face_block, *columns):
+    for b, x0, x1, x2, x3 in zip(face_block, *(corners[j::4] for j in range(4))):
         if x0 == x2 or x1 == x3:
             simple[b] = False
 
     # One sort groups the darts by side. The side {x, y}, x <= y, has
-    # the key (x << bits) | y, and dart d sorts as (key << shift) | d.
-    # Shifted right by one and cleared of the copy bit of x, the key
-    # of each of the four interlacement edges over a spine edge (u, v)
-    # becomes (u << bits) | v.
+    # the key (x << bits) | y, and dart d along it sorts as
+    # (key << (shift + 1)) | d, plus the bit down = 1 << shift unless d
+    # runs up from x to y, x < y. Shifted right by one and cleared of
+    # the copy bit of x, the key of each of the four interlacement
+    # edges over a spine edge (u, v) becomes (u << bits) | v. While it
+    # lives, this sorted list is the only list with an int per dart.
     bits = (2 * max(max(corners, default=0) >> 1, max(spine.vertices, default=0)) + 1).bit_length()
     clear_copy = ~(1 << (bits - 1))
     spine_keys = {(u << bits) | v for u, v in spine.edges}
     shift = ndarts.bit_length()
     mask = (1 << shift) - 1
-    nxt = [0] * ndarts
-    for j in range(4):
-        nxt[j::4] = columns[j - 3]
+    down = 1 << shift
+    heads = chain.from_iterable(zip(*(corners[j::4] for j in (1, 2, 3, 0))))
     packed = [
-        (((x << bits) | y if x < y else (y << bits) | x) << shift) | d
-        for d, x, y in zip(parent, corners, nxt)
+        ((x << bits | y) << (shift + 1)) | d if x < y else ((y << bits | x) << (shift + 1)) | down | d
+        for d, x, y in zip(count(), corners, heads)
     ]
-    # Each large column is dropped once read, which keeps the peak at
-    # a few lists of 4F entries.
-    del columns, nxt
     packed.sort()
 
     # Each run of one key holds the darts along one side. A clean pair
-    # is a run of two darts along an interlacement edge, both in faces
-    # of the edge's component: the columns first and second hold its
-    # darts. Any other run is read dart by dart further down.
-    cuts = [i for i, p, r in zip(count(1), packed, islice(packed, 1, None)) if p ^ r > mask]
-    bounds = [0, *cuts, ndarts] if ndarts else [0]
-    first: list[int] = []
-    second: list[int] = []
+    # is a run of two darts running opposite ways along an interlacement
+    # edge, both in faces of the edge's component: the columns first and
+    # second hold its darts. Any other run is read dart by dart further
+    # down. Two darts of one side differ only in the bits of down | mask,
+    # and they run opposite ways when they differ in down.
+    first = array("l")
+    second = array("l")
     odd: list[tuple[int, int]] = []
-    for s, t in zip(bounds, islice(bounds, 1, None)):
+    cuts = compress(count(1), map(gt, map(xor, packed, islice(packed, 1, None)), repeat(down | mask)))
+    for s, t in pairwise(chain((0,), cuts, (ndarts,) if ndarts else ())):
         if t - s == 2:
-            p = packed[s]
-            d, e = p & mask, packed[s + 1] & mask
-            if ((p >> (shift + 1)) & clear_copy) in spine_keys and kept[d] and kept[e]:
+            p, r = packed[s], packed[s + 1]
+            d, e = p & mask, r & mask
+            if (
+                p ^ r > mask
+                and ((p >> (shift + 2)) & clear_copy) in spine_keys
+                and kept[d]
+                and kept[e]
+            ):
                 first.append(d)
                 second.append(e)
                 continue
         odd.append((s, t))
-    del cuts, bounds
 
-    # Link nodes (twin x, side at x) join the two corners at x of the
-    # darts along the side: in a clean pair the tails meet when both
-    # darts run one way, and each tail meets the other's head when
-    # they run opposite ways. Column us[i] joins column vs[i].
-    opposite = [corners[d] != corners[e] for d, e in zip(first, second)]
-    us = first + [fol[d] for d in first]
-    vs = [fol[e] if o else e for e, o in zip(second, opposite)]
-    vs += [e if o else fol[e] for e, o in zip(second, opposite)]
-    pair_block = [face_block[d >> 2] for d in first]
-    two_sided = Counter(pair_block)
-
-    # Any other run: a side of another count, a non-edge, or a dart in
-    # a face of another component. Each dart keeps its corner at a and
-    # at b only where that twin is in the dart's face's component; a
-    # node with other than two ends breaks its link. An edge with two
+    # Any other run: a side of another count, a non-edge, two darts
+    # running the same way, or a dart in a face of another component.
+    # Each dart keeps its corner at a and at b only where that twin is
+    # in the dart's face's component; a node with two ends joins them,
+    # and a node with another number breaks its link. An edge with two
     # sides in its component adds one orientation constraint:
     # (face, face, both sides run the same way, component).
+    two_sided: Counter[int] = Counter()
     bad_node = [False] * nblocks
+    joins: list[tuple[int, int]] = []
     constraints: list[tuple[int, int, bool, int]] = []
     for s, t in odd:
-        key = packed[s] >> shift
+        key = packed[s] >> (shift + 1)
         a, b = key >> bits, key & ((1 << bits) - 1)
         ba, bb = block_of.get(a, stray), block_of.get(b, stray)
         edge = ((key >> 1) & clear_copy) in spine_keys
@@ -232,7 +233,7 @@ def verify_surface(q: QuadEmbedding) -> SurfaceReport:
             fb = face_block[d >> 2]
             if not edge:
                 simple[fb] = False
-            ca, cb = (d, fol[d]) if corners[d] == a else (fol[d], d)
+            ca, cb = (d, _fol(d)) if corners[d] == a else (_fol(d), d)
             if fb == ba:
                 at_a.append(ca)
                 forward.append(ca == d)
@@ -241,34 +242,40 @@ def verify_surface(q: QuadEmbedding) -> SurfaceReport:
         nodes = ((ba, at_a + at_b),) if a == b else ((ba, at_a), (bb, at_b))
         for bx, ends in nodes:
             if len(ends) == 2:
-                us.append(ends[0])
-                vs.append(ends[1])
+                joins.append((ends[0], ends[1]))
             elif ends:
                 bad_node[bx] = True
         if edge and len(at_a) == 2:
             two_sided[ba] += 1
             constraints.append((at_a[0] >> 2, at_a[1] >> 2, forward[0] == forward[1], ba))
-    del packed, odd
-
-    # Joined corners share a twin, so each class lies at one twin. The
-    # link of every twin is one cycle iff every node has two ends and
-    # each twin of the component has exactly one class of kept corners.
-    _join(parent, us, vs)
-    del us, vs
-    roots = [c for c in compress(range(ndarts), map(eq, parent, range(ndarts))) if kept[c]]
-    classes = Counter(face_block[c >> 2] for c in roots)
-    linked = Counter(block_of.get(x, stray) for x in {corners[c] for c in roots})
+    del packed, odd, cuts
+    pair_block = [face_block[d >> 2] for d in first]
+    two_sided.update(pair_block)
 
     # The faces' own directions are the first flip witness: where every
     # two-sided edge of a component runs once each way, no face needs a
-    # flip. Only the components where that fails are searched.
-    unwitnessed = set(compress(pair_block, map(not_, opposite)))
-    unwitnessed.update(b for _, _, same, b in constraints if same)
+    # flip. Only the components with a two-sided edge run twice one way
+    # are searched; a clean pair there asks its faces for equal flips.
+    unwitnessed = {b for _, _, same, b in constraints if same}
     conflict = set()
     if unwitnessed:
-        pairs = zip(first, second, opposite, pair_block)
-        searched = ((d >> 2, e >> 2, not o, b) for d, e, o, b in pairs if b in unwitnessed)
+        pairs = zip(first, second, pair_block)
+        searched = ((d >> 2, e >> 2, False, b) for d, e, b in pairs if b in unwitnessed)
         conflict = _conflicts(nfaces, chain(searched, constraints))
+    del pair_block
+
+    # Link nodes (twin x, side at x) join the two corners at x of the
+    # darts along the side. Joined corners share a twin, so each class
+    # lies at one twin. The link of every twin is one cycle iff every
+    # node has two ends and each twin of the component has exactly one
+    # class of kept corners. The union-find list is made only now that
+    # the sorted darts are gone.
+    parent = list(range(ndarts))
+    _join(parent, first, second, joins)
+    roots = [c for c in compress(range(ndarts), map(eq, parent, range(ndarts))) if kept[c]]
+    del parent
+    classes = Counter(face_block[c >> 2] for c in roots)
+    linked = Counter(block_of.get(x, stray) for x in {corners[c] for c in roots})
 
     face_counts = Counter(face_block)
     reports: list[ComponentReport] = []
@@ -323,9 +330,31 @@ def _blocks(spine: Graph) -> tuple[dict[int, int], list[int], list[int]]:
     return block_of, sizes, edges
 
 
-def _join(parent: list[int], us: list[int], vs: list[int]) -> None:
-    """Union-find: join us[i] with vs[i] for every i, halving paths."""
-    for u, v in zip(us, vs):
+def _fol(d: int) -> int:
+    """The dart after dart d = 4f + j around face f: 4f + (j + 1) % 4."""
+    return d - 3 if d & 3 == 3 else d + 1
+
+
+def _join(parent: list[int], first: array, second: array, joins: list[tuple[int, int]]) -> None:
+    """Union-find over corners, halving paths. The darts of each clean
+    pair (first[i], second[i]) run opposite ways, so each tail is joined
+    with the other's head; each (u, v) in joins is joined as it is. The
+    two joins of a pair are written out, which runs faster than any
+    loop over them."""
+    for d, e in zip(first, second):
+        u, v = d, e - 3 if e & 3 == 3 else e + 1
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        parent[u] = v
+        u, v = d - 3 if d & 3 == 3 else d + 1, e
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        parent[u] = v
+    for u, v in joins:
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:

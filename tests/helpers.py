@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 from spinalquad import (
     ComponentReport,
@@ -22,6 +22,7 @@ from spinalquad import (
     QuadEmbedding,
     RecipeError,
     SimplicialComplex,
+    VertexColoring,
     chromatic_number_exact,
     components,
     interlace,
@@ -60,6 +61,26 @@ def random_tree(vertex_count: int, seed: int) -> Graph:
     rng = random.Random(seed)
     edges = [(rng.randrange(v), v) for v in range(1, vertex_count)]
     return Graph(edges=edges)
+
+
+def random_spine(vertex_count: int, edge_count: int, seed: int) -> Graph:
+    """Connected seeded spine: random_tree plus distinct random chords
+    up to edge_count edges."""
+    rng = random.Random(seed)
+    edges = set(random_tree(vertex_count, seed).edges)
+    while len(edges) < edge_count:
+        u, v = sorted(rng.sample(range(vertex_count), 2))
+        edges.add((u, v))
+    return Graph(range(vertex_count), edges)
+
+
+def greedy_coloring(g: Graph) -> VertexColoring:
+    """Proper coloring by first fit in ascending vertex order."""
+    colors: dict[int, int] = {}
+    for v in g.vertices:
+        taken = {colors[u] for u in g.neighbors(v) if u in colors}
+        colors[v] = next(c for c in count() if c not in taken)
+    return VertexColoring(colors=colors, palette=max(colors.values(), default=-1) + 1)
 
 
 def random_two_complex(seed: int, max_vertices: int = 8) -> SimplicialComplex:

@@ -234,6 +234,13 @@ def test_chroma_cap_refusal(tmp_path, capsys):
     assert run(["chroma", "--in", str(edges), "--cap", "30"]) == 0
 
 
+def test_chroma_refuses_a_negative_cap(tmp_path, capsys):
+    edges = tmp_path / "k3.edges"
+    edges.write_text("0 1\n1 2\n0 2\n")
+    assert run(["chroma", "--in", str(edges), "--cap", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: negative vertex cap -1\n")
+
+
 def test_chroma_on_a_long_odd_cycle(tmp_path, capsys):
     # Its search path is 1201 vertices deep, past the interpreter's
     # default recursion limit.

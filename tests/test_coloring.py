@@ -142,6 +142,14 @@ def test_cap_refusal_never_heuristic():
     assert chi == 1
 
 
+def test_negative_cap_is_refused_before_the_graph_size():
+    # Not a CapExceededError: the cap is out of range, whatever the graph.
+    for g in (complete_graph(3), Graph()):
+        with pytest.raises(ValueError, match="^negative vertex cap -1$") as exc:
+            chromatic_number_exact(g, cap=-1)
+        assert not isinstance(exc.value, CapExceededError)
+
+
 def test_palette_bound_enforced_on_construction():
     with pytest.raises(ValueError):
         VertexColoring(colors={0: 2}, palette=2)

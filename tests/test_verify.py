@@ -29,6 +29,7 @@ from helpers import (
     oracle_face_adjacencies,
     oracle_verify_surface,
     random_graph_no_isolated,
+    random_spine,
     random_tree,
     seed_quad_text,
 )
@@ -210,6 +211,23 @@ def _agrees_with_oracles(q: QuadEmbedding, rng: random.Random) -> bool:
     return not all(c.ok for c in report.components)
 
 
+def _variants_agree_with_oracles(text: str, rng: random.Random) -> tuple[int, int]:
+    """Check a quad file and its damaged variants against the oracles
+    (or the parser's src= refusal); the numbers of files checked and
+    rejected."""
+    variants = [text] + _damaged_variants(text, rng)
+    rejected = 0
+    for variant in variants:
+        line = _mislabelled_line(variant)
+        if line is None:
+            rejected += _agrees_with_oracles(parse_quad(variant), rng)
+        else:
+            with pytest.raises(ParseError, match=f"^line {line}: src="):
+                parse_quad(variant)
+            rejected += 1
+    return len(variants), rejected
+
+
 def test_flat_verifier_agrees_with_record_oracle():
     checked = rejected = 0
     for seed in range(150):
@@ -218,21 +236,27 @@ def test_flat_verifier_agrees_with_record_oracle():
         rot = permute_rotations(default_rotations(spine), seed)
         text = format_quad(quadrangulate(spine, rot))
         assert text == seed_quad_text(spine, rot)
-        for variant in [text] + _damaged_variants(text, rng):
-            line = _mislabelled_line(variant)
-            if line is None:
-                rejected += _agrees_with_oracles(parse_quad(variant), rng)
-            else:
-                with pytest.raises(ParseError, match=f"^line {line}: src="):
-                    parse_quad(variant)
-                rejected += 1
-            checked += 1
+        files, failed = _variants_agree_with_oracles(text, rng)
+        checked += files
+        rejected += failed
     assert checked == 150 * 11
     assert rejected > checked // 2
     rng = random.Random(0)
     for q in DEGENERATE:
         for _ in range(8):
             _agrees_with_oracles(q, rng)
+
+
+@pytest.mark.parametrize("vertices", [300, 400, 500])
+def test_flat_verifier_agrees_with_record_oracle_at_size(vertices):
+    # Thousands of faces: each damage leaves a few odd runs in the
+    # middle of long runs of clean pairs.
+    rng = random.Random(vertices)
+    spine = random_spine(vertices, 2 * vertices + rng.randrange(vertices), vertices)
+    text = format_quad(quadrangulate(spine, permute_rotations(default_rotations(spine), vertices)))
+    assert verify_surface(parse_quad(text)).hand == cycle_rank(spine)
+    files, rejected = _variants_agree_with_oracles(text, rng)
+    assert files == 11 and rejected >= 3
 
 
 def test_header_only_file_fails():
