@@ -36,6 +36,9 @@ from .embed import (
 from .families import (
     RecipeError,
     SpineRecipe,
+    VerificationError,
+    check_duality_formula,
+    check_thickening_identities,
     complete_graph,
     complete_minus_clique,
     min_quad_vertices,
@@ -63,14 +66,7 @@ from .interlace import (
     format_twin_edge_list,
     interlace,
 )
-from .verify import (
-    ComponentReport,
-    SurfaceReport,
-    VerificationError,
-    check_duality_formula,
-    check_thickening_identities,
-    verify_surface,
-)
+from .verify import ComponentReport, SurfaceReport, verify_surface
 
 __version__ = "1.0.0"
 

@@ -27,6 +27,8 @@ from .coloring import (
 from .embed import default_rotations, format_quad, parse_quad, permute_rotations, quadrangulate
 from .families import (
     SpineRecipe,
+    VerificationError,
+    check_thickening_identities,
     complete_minus_clique,
     min_quad_vertices,
     minimality_report,
@@ -35,12 +37,7 @@ from .families import (
 from .graph import ParseError, _decimal, format_edge_list, parse_edge_list
 from .homology import betti_numbers, from_graph, parse_complex
 from .interlace import format_twin_edge_list, interlace
-from .verify import (
-    VerificationError,
-    _duality_report,
-    check_thickening_identities,
-    verify_surface,
-)
+from .verify import verify_surface
 
 
 def _fmt_bool(value: bool) -> str:
@@ -125,7 +122,7 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 def _cmd_thicken(args: argparse.Namespace) -> int:
     spine = parse_edge_list(_read(args.infile))
     identities = check_thickening_identities(spine)
-    duality = _duality_report(identities)
+    duality = identities.duality
     sys.stdout.write(
         f"comp={identities.comp} hand={identities.hand} "
         f"identity_check={_fmt_bool(identities.ok)} "

@@ -1,5 +1,6 @@
-"""Named spine families, recipe-driven spine synthesis, and minimality
-certificates for quadrangulations built from nearly complete graphs.
+"""Named spine families, recipe-driven spine synthesis, and the spine
+certificates: minimality for quadrangulations built from nearly
+complete graphs, and the homological identities of any graph spine.
 
 A recipe (genus, face palette, quad vertex count) is realized by a
 spine whose cycle rank is the genus, whose chromatic number is the
@@ -7,19 +8,33 @@ palette size, and whose vertex count is half the requested
 quadrangulation size. The construction is: a complete core for the
 palette, triangle gadgets to raise the cycle rank one at a time, and
 pendant vertices to pad the count without touching either invariant.
+
+The identities build the surface of a spine, have verify.py certify
+it, and compare its component and handle counts with the exact
+rational homology of the spine: comp == b0 + b2 and hand == b1, and
+the surface's Betti vector equals the spine's folded with its
+reversal. Neither side trusts the other, and the verifier imports
+nothing of this module or of the construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from .embed import quadrangulate
 from .graph import Graph, cycle_rank
-from .verify import VerificationError
+from .homology import BettiVector, betti_numbers, from_graph
+from .verify import verify_surface
 
 
 class RecipeError(ValueError):
     """A requested family or recipe violates its constraints."""
+
+
+class VerificationError(RuntimeError):
+    """A constructed embedding or certificate failed its own check."""
 
 
 def complete_graph(n: int) -> Graph:
@@ -179,3 +194,51 @@ def minimality_report(n: int, m: int) -> MinimalityCertificate:
         sufficient_condition_met=sufficient,
         minimal=minimal,
     )
+
+
+class DualityReport(NamedTuple):
+    ok: bool
+    surface_betti: BettiVector
+    expected: BettiVector
+
+
+class ThickeningIdentityReport(NamedTuple):
+    ok: bool
+    comp: int
+    hand: int
+    betti: BettiVector
+
+    @property
+    def duality(self) -> DualityReport:
+        """The surface vector (comp, 2 * hand, comp) of comp closed
+        orientable surfaces with hand handles in all, against the folded
+        spine vector (b0 + b2, b1 + b1, b2 + b0)."""
+        b = self.betti
+        surface = BettiVector(b0=self.comp, b1=2 * self.hand, b2=self.comp)
+        expected = BettiVector(b0=b.b0 + b.b2, b1=2 * b.b1, b2=b.b2 + b.b0)
+        return DualityReport(ok=surface == expected, surface_betti=surface, expected=expected)
+
+
+def check_thickening_identities(spine: Graph) -> ThickeningIdentityReport:
+    """Check comp == b0 + b2 and hand == b1 for a graph spine.
+
+    The left sides come from the surface built with default rotations
+    and fully certified, the right sides from exact rational homology
+    of the spine (b2 of a graph is 0, so the first identity reduces to
+    comp == b0). Raises ValueError for the empty spine,
+    IsolatedVertexError for bad spines and VerificationError if
+    certification fails, which would mean a bug in the construction.
+    """
+    report = verify_surface(quadrangulate(spine))
+    if not report.ok or report.hand is None:
+        raise VerificationError("constructed embedding failed surface certification")
+    comp, hand = report.comp, report.hand
+    b = betti_numbers(from_graph(spine))
+    ok = comp == b.b0 + b.b2 and hand == b.b1
+    return ThickeningIdentityReport(ok=ok, comp=comp, hand=hand, betti=b)
+
+
+def check_duality_formula(spine: Graph) -> DualityReport:
+    """Check the surface's Betti vector against the folded spine vector
+    (see ThickeningIdentityReport.duality)."""
+    return check_thickening_identities(spine).duality

@@ -1,10 +1,10 @@
 """Certify that a quadrilateral face complex is a closed orientable surface.
 
-This module is the oracle side of the toolkit: it never looks at how
-an embedding was built, only at the flat corner array and the spine,
-and re-derives every property combinatorially. The interlacement is
-read off the spine rather than built: a side (a, b) is an edge iff
-(a >> 1, b >> 1) is a spine edge.
+This module is the oracle side of the toolkit. It imports no
+constructor and never looks at how an embedding was built, only at
+the flat corner array and the spine, and re-derives every property
+combinatorially. The interlacement is read off the spine rather than
+built: a side (a, b) is an edge iff (a >> 1, b >> 1) is a spine edge.
 
 The face sides are darts, one per face and position, grouped by side
 with one sort of packed ints (the dart technique of combinatorial
@@ -42,13 +42,6 @@ Genus is only ever reported for a component that passed closedness and
 orientability; all failures are verdicts, not exceptions. A report
 with no component fails, and so does a parsed file whose header claims
 other (V, E, F, components) counts than the ones re-derived.
-
-On top of the raw surface check sit the two homological identities for
-graph spines: the component/handle counts of the built surface must
-match (b0 + b2, b1) of the spine, and the surface's Betti vector must
-equal the spine's Betti vector folded with its reversal. Both checks
-run the exact rational homology of the spine on one side and the fully
-verified surface on the other, so neither side trusts the other.
 """
 
 from __future__ import annotations
@@ -59,15 +52,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, pairwise, repeat
 from operator import eq, gt, xor
-from typing import NamedTuple
 
-from .embed import QuadEmbedding, default_rotations, quadrangulate
+from .embed import QuadEmbedding
 from .graph import Graph, components
-from .homology import BettiVector, betti_numbers, from_graph
-
-
-class VerificationError(RuntimeError):
-    """A constructed embedding or certificate failed its own check."""
 
 
 @dataclass(frozen=True)
@@ -390,54 +377,3 @@ def _parity_root(parent: list[int], parity: list[int], f: int) -> tuple[int, int
         p ^= parity[f]
         f = parent[f]
     return f, p
-
-
-class ThickeningIdentityReport(NamedTuple):
-    ok: bool
-    comp: int
-    hand: int
-    betti: BettiVector
-
-
-def check_thickening_identities(spine: Graph) -> ThickeningIdentityReport:
-    """Check comp == b0 + b2 and hand == b1 for a graph spine.
-
-    The left sides come from the surface built with default rotations
-    and fully certified, the right sides from exact rational homology
-    of the spine (b2 of a graph is 0, so the first identity reduces to
-    comp == b0). Raises ValueError for the empty spine,
-    IsolatedVertexError for bad spines and VerificationError if
-    certification fails, which would mean a bug in the construction.
-    """
-    report = verify_surface(quadrangulate(spine, default_rotations(spine)))
-    if not report.ok or report.hand is None:
-        raise VerificationError("constructed embedding failed surface certification")
-    comp, hand = report.comp, report.hand
-    b = betti_numbers(from_graph(spine))
-    ok = comp == b.b0 + b.b2 and hand == b.b1
-    return ThickeningIdentityReport(ok=ok, comp=comp, hand=hand, betti=b)
-
-
-class DualityReport(NamedTuple):
-    ok: bool
-    surface_betti: BettiVector
-    expected: BettiVector
-
-
-def check_duality_formula(spine: Graph) -> DualityReport:
-    """Check the surface's Betti vector against the folded spine vector.
-
-    A disjoint union of comp closed orientable surfaces with hand
-    total handles has Betti vector (comp, 2 * hand, comp); it must
-    equal (b0 + b2, b1 + b1, b2 + b0) of the spine.
-    """
-    return _duality_report(check_thickening_identities(spine))
-
-
-def _duality_report(t: ThickeningIdentityReport) -> DualityReport:
-    """Compare the surface vector (comp, 2 * hand, comp) with the
-    folded spine vector (b0 + b2, b1 + b1, b2 + b0)."""
-    b = t.betti
-    surface = BettiVector(b0=t.comp, b1=2 * t.hand, b2=t.comp)
-    expected = BettiVector(b0=b.b0 + b.b2, b1=2 * b.b1, b2=b.b2 + b.b0)
-    return DualityReport(ok=(surface == expected), surface_betti=surface, expected=expected)

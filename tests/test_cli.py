@@ -6,6 +6,10 @@ import pytest
 
 from spinalquad import (
     Graph,
+    SurfaceReport,
+    VerificationError,
+    check_duality_formula,
+    check_thickening_identities,
     complete_graph,
     format_edge_list,
     interlace,
@@ -15,7 +19,7 @@ from spinalquad import (
     verify_surface,
 )
 import spinalquad.cli as cli_module
-import spinalquad.verify as verify_module
+import spinalquad.families as families_module
 from spinalquad.cli import run
 
 from helpers import dense_boundary, rank_mod_2, twin_edge_text, twisted_grid_klein_bottle
@@ -191,13 +195,13 @@ THICKEN_SEED_OUTPUT = [
 def test_thicken_computes_each_fact_once(tmp_path, capsys, monkeypatch, edges, expected):
     calls = {"quadrangulate": 0, "verify_surface": 0, "betti_numbers": 0}
     for name in calls:
-        original = getattr(verify_module, name)
+        original = getattr(families_module, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        for module in (verify_module, cli_module):
+        for module in (families_module, cli_module):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
     path = tmp_path / "spine.edges"
@@ -209,13 +213,35 @@ def test_thicken_computes_each_fact_once(tmp_path, capsys, monkeypatch, edges, e
 
 def test_failed_certification_exits_one(k3_file, capsys, monkeypatch):
     def refuse(spine):
-        raise verify_module.VerificationError("constructed embedding failed surface certification")
+        raise VerificationError("constructed embedding failed surface certification")
 
     monkeypatch.setattr(cli_module, "check_thickening_identities", refuse)
     assert run(["thicken", "--in", str(k3_file)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_thicken_reports_identities_that_fail(tmp_path, capsys, monkeypatch):
+    # One handle too many in the spine's homology breaks both identities
+    # on K4: hand 3 against b1 4, and (1, 6, 1) against (1, 8, 1).
+    betti = families_module.betti_numbers
+    monkeypatch.setattr(families_module, "betti_numbers", lambda c: betti(c)._replace(b1=betti(c).b1 + 1))
+    path = tmp_path / "k4.edges"
+    path.write_text(format_edge_list(complete_graph(4)))
+    assert run(["thicken", "--in", str(path)]) == 1
+    assert capsys.readouterr() == ("comp=1 hand=3 identity_check=false duality_check=false\n", "")
+    assert check_duality_formula(complete_graph(4)).ok is False
+
+
+def test_thicken_exits_one_when_the_built_surface_fails(k3_file, capsys, monkeypatch):
+    # verify_surface reports a failure as a verdict; the identity checks
+    # turn a constructed surface that fails into an exception.
+    monkeypatch.setattr(families_module, "verify_surface", lambda q: SurfaceReport(components=(), counts=(0, 0, 0, 0)))
+    with pytest.raises(VerificationError, match="^constructed embedding failed surface certification$"):
+        check_thickening_identities(complete_graph(4))
+    assert run(["thicken", "--in", str(k3_file)]) == 1
+    assert capsys.readouterr() == ("", "error: constructed embedding failed surface certification\n")
 
 
 def test_chroma_reports_exact_number_with_witness(k3_file, capsys):

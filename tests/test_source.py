@@ -122,6 +122,22 @@ def test_faces_have_one_record():
     assert found == []
 
 
+def test_verify_imports_no_constructor():
+    # The verifier judges what it is given and builds nothing: inside the
+    # package it reads only the embedding record and the graph, and the
+    # checks that build a surface before judging it live in families.py.
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    package = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("spinalquad")):
+            package.extend(f"{node.module}:{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            package.extend(alias.name for alias in node.names if alias.name.startswith("spinalquad"))
+    assert sorted(package) == ["embed:QuadEmbedding", "graph:Graph", "graph:components"]
+    checks = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")]
+    assert checks == []
+
+
 DELETED = {
     "ChromaticEqualityReport",
     "boundary_matrix",
