@@ -315,11 +315,17 @@ def parse_vertex_coloring(text: str) -> VertexColoring:
 
     Format: a ``colors <k>`` header, then ``<vertex> <color>`` lines.
     Comment lines and ``key=value`` report lines are ignored. A second
-    header, or a vertex given two different colors, is a ParseError; a
-    line repeated as is collapses.
+    header, a vertex given two different colors, or a color outside the
+    header's palette is a ParseError; a line repeated as is collapses.
     """
     palette: int | None = None
     colors: dict[int, int] = {}
+    # The header may follow the vertex lines. The first color outside
+    # the palette is larger than every color before it, so the lines
+    # that raise the largest color so far are kept until the palette
+    # is known.
+    peaks: list[tuple[int, int, int]] = []
+    top = -1
     for lineno, tokens in _records(text):
         if any("=" in token for token in tokens):
             continue
@@ -337,12 +343,17 @@ def parse_vertex_coloring(text: str) -> VertexColoring:
         color = _decimal(tokens[1], lineno, "color")
         if colors.setdefault(vertex, color) != color:
             raise ParseError(f"line {lineno}: vertex {vertex} already has color {colors[vertex]}")
+        if color > top:
+            top = color
+            peaks.append((lineno, vertex, color))
     if palette is None:
-        palette = max(colors.values()) + 1 if colors else 0
-    try:
-        return VertexColoring(colors=colors, palette=palette)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        palette = top + 1
+    for lineno, vertex, color in peaks:
+        if color >= palette:
+            raise ParseError(
+                f"line {lineno}: color {color} of {vertex} outside palette of size {palette}"
+            )
+    return VertexColoring(colors=colors, palette=palette)
 
 
 def format_vertex_coloring(coloring: VertexColoring) -> str:

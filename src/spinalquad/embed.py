@@ -210,13 +210,18 @@ def parse_quad(text: str) -> QuadEmbedding:
     if header is None:
         raise ParseError("missing 'quad' header line")
 
-    # Each dart runs from corner j to corner j + 1 of its face, so
-    # ``heads`` is the corner list shifted by one within each face. The
-    # spine pair of a dart is kept once, low end first; a dart joining
-    # the two twins of one vertex is no spine edge, so it is skipped
-    # and left for the verifier to flag. Graph checks the rest.
-    ids = [x >> 1 for x in corners]
+    # The spine is rebuilt from one int per distinct twin, so no int is
+    # made per corner; the token tables are dropped first. Each dart
+    # runs from corner j to corner j + 1 of its face, so ``heads`` is
+    # the corner list shifted by one within each face. The spine pair
+    # of a dart is kept once, low end first; a dart joining the two
+    # twins of one vertex is no spine edge, so it is skipped and left
+    # for the verifier to flag. Graph checks the rest.
+    vertex_of = {x: x >> 1 for x in twin_ids.values()}
+    del twin_ids, lookup, source_ids
+    ids = list(map(vertex_of.__getitem__, corners))
     heads = ids[1:] + ids[:1]
     heads[3::4] = ids[0::4]
     pairs = {(u, w) if u < w else (w, u) for u, w in zip(ids, heads) if u != w}
-    return QuadEmbedding(spine=Graph(set(ids), pairs), corners=tuple(corners), header=header)
+    del ids, heads
+    return QuadEmbedding(spine=Graph(vertex_of.values(), pairs), corners=tuple(corners), header=header)

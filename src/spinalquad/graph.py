@@ -26,7 +26,10 @@ class Graph:
     contiguous. Edge endpoints are added to the vertex set
     automatically; self-loops and negative ids are rejected, ids that
     are not integers raise TypeError rather than being truncated,
-    duplicate edges collapse. Neighbor lists are kept in ascending order.
+    duplicate edges collapse. A graph stores its vertices and their
+    ascending neighbor tuples; ``edges`` is the tuple built by the
+    constructor, or derived from the neighbor tuples on first access
+    for a graph built by ``_from_sorted``.
     """
 
     __slots__ = ("_vertices", "_edges", "_adj")
@@ -49,7 +52,8 @@ class Graph:
             if v < 0:
                 raise ValueError(f"negative vertex id {v}")
         self._vertices: tuple[int, ...] = tuple(sorted(vs))
-        self._edges: tuple[Edge, ...] = tuple(sorted(es))
+        # The sorted edges are built here anyway, so they are kept.
+        self._edges: tuple[Edge, ...] | None = tuple(sorted(es))
         # Walking the ascending edges appends every neighbor list in
         # ascending order.
         adj: dict[int, list[int]] = {v: [] for v in self._vertices}
@@ -59,18 +63,14 @@ class Graph:
         self._adj: dict[int, tuple[int, ...]] = {v: tuple(ns) for v, ns in adj.items()}
 
     @classmethod
-    def _from_sorted(
-        cls,
-        vertices: tuple[int, ...],
-        edges: tuple[Edge, ...],
-        adj: dict[int, tuple[int, ...]],
-    ) -> Graph:
+    def _from_sorted(cls, vertices: tuple[int, ...], adj: dict[int, tuple[int, ...]]) -> Graph:
         """A graph from parts its caller built valid, checking nothing:
-        distinct nonnegative vertices in ascending order, edges as
-        ascending unique ``(low, high)`` pairs over them, and ``adj``
-        mapping every vertex to its neighbors in ascending order."""
+        distinct nonnegative vertices in ascending order, and ``adj``
+        mapping every vertex to its neighbors in ascending order, each
+        neighbor relation listed at both ends. The edge tuple is left
+        to ``edges`` to derive if it is ever read."""
         g = cls.__new__(cls)
-        g._vertices, g._edges, g._adj = vertices, edges, adj
+        g._vertices, g._edges, g._adj = vertices, None, adj
         return g
 
     @property
@@ -79,6 +79,11 @@ class Graph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
+        """Ascending ``(low, high)`` pairs: derived from the adjacency on
+        first access, then kept."""
+        if self._edges is None:
+            adj = self._adj
+            self._edges = tuple([(u, v) for u in self._vertices for v in adj[u] if u < v])
         return self._edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -96,13 +101,13 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self._vertices == other._vertices and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._edges))
+        return hash((self._vertices, self.edges))
 
     def __repr__(self) -> str:
-        return f"Graph({len(self._vertices)} vertices, {len(self._edges)} edges)"
+        return f"Graph({len(self._vertices)} vertices, {len(self.edges)} edges)"
 
 
 # A vertex partition is a list of disjoint blocks covering the vertex
@@ -178,9 +183,12 @@ def _decimal(token: str, lineno: int, what: str) -> int:
 def _write_edges(g: Graph, token: Mapping[int, str]) -> str:
     """The ``.edges`` writer of both ``format_edge_list`` and the twin
     dialect of ``format_twin_edge_list``; ``token`` maps each vertex of
-    ``g`` to its text, built once per vertex."""
+    ``g`` to its text, built once per vertex. Each vertex's higher
+    neighbors are written in ascending order, which is the order of
+    ``g.edges``, without building the edge tuples."""
     lines = [f"v {token[v]}" for v in g.isolated_vertices()]
-    lines.extend(f"{token[u]} {token[v]}" for u, v in g.edges)
+    adj = g._adj
+    lines += [f"{token[u]} {token[v]}" for u in g.vertices for v in adj[u] if u < v]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -191,18 +199,28 @@ def parse_edge_list(text: str) -> Graph:
     vertex, ``<id> <id>`` for an edge. ``#`` starts a comment.
     Duplicates collapse; malformed lines, self-loops and negative ids
     raise ParseError naming the line. ``Graph`` orders each edge's
-    endpoints.
+    endpoints. Each distinct id token is read once, on the line of its
+    first occurrence, and every later occurrence shares its int.
     """
     vertices: list[int] = []
     edges: list[Edge] = []
+    ids: dict[str, int] = {}
+    lookup = ids.get
     for lineno, tokens in _records(text):
         if tokens[0] == "v":
             if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: vertex declaration needs exactly one id")
-            vertices.append(_decimal(tokens[1], lineno, "vertex id"))
+            v = lookup(tokens[1])
+            if v is None:
+                v = ids[tokens[1]] = _decimal(tokens[1], lineno, "vertex id")
+            vertices.append(v)
         elif len(tokens) == 2:
-            u = _decimal(tokens[0], lineno, "vertex id")
-            v = _decimal(tokens[1], lineno, "vertex id")
+            u = lookup(tokens[0])
+            if u is None:
+                u = ids[tokens[0]] = _decimal(tokens[0], lineno, "vertex id")
+            v = lookup(tokens[1])
+            if v is None:
+                v = ids[tokens[1]] = _decimal(tokens[1], lineno, "vertex id")
             if u == v:
                 raise ParseError(f"line {lineno}: self-loop at vertex {u}")
             edges.append((u, v))

@@ -16,10 +16,8 @@ tokens of a ``.quad`` file through ``_twin_id``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import repeat
 
 from .graph import Graph, ParseError, _decimal, _write_edges
 
@@ -58,23 +56,18 @@ def interlace(spine: Graph) -> Interlacement:
     """Build the 2-fold interlacement of a spine.
 
     Isolated spine vertices are permitted and yield two isolated
-    twins each. Both twins of v share one neighbor tuple, the twins of
-    v's spine neighbors in ascending order, and each twin's edges to
-    higher twins are emitted in that order, so vertices, edges and
-    neighbors all come out sorted and the graph is built as is.
+    twins each. The twin pair ``(2v, 2v + 1)`` of each spine vertex is
+    built once, and both twins of v share one neighbor tuple made of
+    the pairs of v's spine neighbors in ascending order, so every
+    twin id is one int object and vertices and neighbors come out
+    sorted. No edge list is built; ``graph.edges`` derives it from the
+    neighbor tuples if it is ever read.
     """
-    vertices: list[int] = []
-    edges: list[tuple[int, int]] = []
+    pairs = {v: (2 * v, 2 * v + 1) for v in spine.vertices}
     adj: dict[int, tuple[int, ...]] = {}
-    for v in spine.vertices:
-        ns = spine.neighbors(v)
-        twins = tuple([x for u in ns for x in (2 * u, 2 * u + 1)])
-        higher = twins[2 * bisect_right(ns, v) :]
-        for x in (2 * v, 2 * v + 1):
-            vertices.append(x)
-            adj[x] = twins
-            edges += zip(repeat(x), higher)
-    return Interlacement(spine=spine, graph=Graph._from_sorted(tuple(vertices), tuple(edges), adj))
+    for v, (x, y) in pairs.items():
+        adj[x] = adj[y] = tuple([t for u in spine.neighbors(v) for t in pairs[u]])
+    return Interlacement(spine=spine, graph=Graph._from_sorted(tuple(adj), adj))
 
 
 def format_twin_edge_list(graph: Graph) -> str:

@@ -188,7 +188,7 @@ PARSERS = {
     "coloring": (parse_vertex_coloring, ("colors 3", "0 2", "0 2"), {
         "bad": "0 x", "arity": "0 1 2", "negative": "0 -1", "header": "colors ²",
         "non_decimal": ("{} 2", "0 {}", "colors {}"), "too_long": f"colors {TOO_LONG}",
-        "recolored": "0 1", "duplicate_header": "colors 3",
+        "recolored": "0 1", "duplicate_header": "colors 3", "outside_palette": "1 3",
     }),
 }
 
@@ -230,8 +230,9 @@ def _shifted(g: Graph, offset: int) -> Graph:
 
 
 def test_graphs_built_sorted_match_the_validating_constructor():
-    # interlace and parse_quad build their graphs sorted, unchecked;
-    # the same vertices and edges through Graph(...) must agree.
+    # interlace builds its graph sorted and unchecked, and parse_quad
+    # rebuilds the spine from its corners; the same vertices and edges
+    # through Graph(...) must agree.
     big = 10**12
     split = 0
     for seed in range(24):

@@ -1,11 +1,20 @@
-"""Peak memory of the two passes over every face side (dart).
+"""Memory of the surface path, per dart and per spine edge.
 
-Both passes keep at most one list with a Python int per dart: the
-sorted keys. On a seeded 2,000-vertex, 5,000-edge spine (40,000 darts)
-``verify_surface`` peaks near 84 bytes per dart and
-``verify_proper_faces`` near 55 (Python 3.10-3.13). Before the passes
-held their columns in bytearrays and machine-word arrays they peaked
-near 185 and 108. Each bound sits halfway between the two figures.
+All figures are on a seeded 2,000-vertex, 5,000-edge spine (40,000
+darts) and hold on Python 3.10-3.13; each bound sits halfway between
+the figure before and after the change it pins.
+
+- The two passes over every face side (dart) keep at most one list
+  with a Python int per dart: the sorted keys. ``verify_surface`` peaks
+  near 84 bytes per dart and ``verify_proper_faces`` near 55; before
+  the passes held their columns in bytearrays and machine-word arrays
+  they peaked near 185 and 108.
+- The parsers and the interlacement hold one int object per vertex or
+  twin. ``parse_quad`` peaks near 79 bytes per dart (131 when it made
+  an int per corner); ``interlace`` keeps near 130 bytes per spine edge
+  (480 with its 4E edge tuples and an int per neighbour entry);
+  ``parse_edge_list`` keeps near 147 bytes per edge (183 with an int
+  per id token).
 """
 
 import gc
@@ -16,6 +25,11 @@ import pytest
 from spinalquad import (
     default_rotations,
     face_coloring_from_sources,
+    format_edge_list,
+    format_quad,
+    interlace,
+    parse_edge_list,
+    parse_quad,
     permute_rotations,
     quadrangulate,
     verify_proper_faces,
@@ -25,8 +39,9 @@ from spinalquad import (
 from helpers import greedy_coloring, random_spine
 
 
-def _peak_bytes(call, *args) -> int:
-    """tracemalloc peak of one call, above what was traced before it."""
+def _traced_bytes(call, *args) -> tuple[int, int]:
+    """tracemalloc (retained, peak) of one call, above what was traced
+    before it; the call's result is alive while both are read."""
     gc.collect()
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -34,11 +49,21 @@ def _peak_bytes(call, *args) -> int:
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        call(*args)
-        return tracemalloc.get_traced_memory()[1] - before
+        result = call(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+        del result
+        return retained - before, peak - before
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def _peak_bytes(call, *args) -> int:
+    return _traced_bytes(call, *args)[1]
+
+
+def _retained_bytes(call, *args) -> int:
+    return _traced_bytes(call, *args)[0]
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +71,11 @@ def surface():
     spine = random_spine(2000, 5000, seed=1)
     q = quadrangulate(spine, permute_rotations(default_rotations(spine), 1))
     return q, face_coloring_from_sources(q, greedy_coloring(spine))
+
+
+@pytest.fixture(scope="module")
+def spine(surface):
+    return surface[0].spine
 
 
 @pytest.mark.parametrize(
@@ -59,3 +89,24 @@ def test_dart_passes_peak_bytes_per_dart(surface, call, bound):
     assert call(*args).ok
     per_dart = _peak_bytes(call, *args) / len(q.corners)
     assert per_dart <= bound, f"peak of {per_dart:.1f} bytes per dart"
+
+
+def test_parse_quad_peak_bytes_per_dart(surface):
+    q, _ = surface
+    text = format_quad(q)
+    parsed = parse_quad(text)
+    assert (parsed.spine, parsed.corners) == (q.spine, q.corners)
+    per_dart = _peak_bytes(parse_quad, text) / len(q.corners)
+    assert per_dart <= 107, f"peak of {per_dart:.1f} bytes per dart"
+
+
+def test_interlace_retained_bytes_per_spine_edge(spine):
+    per_edge = _retained_bytes(interlace, spine) / len(spine.edges)
+    assert per_edge <= 305, f"{per_edge:.1f} bytes kept per spine edge"
+
+
+def test_parse_edge_list_retained_bytes_per_edge(spine):
+    text = format_edge_list(spine)
+    assert parse_edge_list(text) == spine
+    per_edge = _retained_bytes(parse_edge_list, text) / len(spine.edges)
+    assert per_edge <= 165, f"{per_edge:.1f} bytes kept per edge"
