@@ -11,20 +11,20 @@ A proper spine coloring lifts to the interlacement by giving both
 twins of a vertex the vertex's color, and pushes forward to faces of a
 quadrilateral embedding by giving each face the color of its source.
 Both transfers preserve properness; the checks here certify that on
-each concrete instance instead of assuming it. Both face checks sort the
-face sides once, keyed with one label for every face or with the colors.
+each concrete instance instead of assuming it. Both face checks read
+the side pairing that verify_surface keeps for a certified surface,
+so they sort nothing, and they refuse a surface that fails verification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, count, islice
-from operator import eq
 from typing import Mapping, NamedTuple, Sequence
 
 from .embed import QuadEmbedding
 from .graph import Graph, ParseError, _decimal, _records
 from .interlace import Interlacement
+from .verify import _certified, _fol
 
 
 class ColoringError(ValueError):
@@ -93,75 +93,47 @@ def verify_proper_vertices(g: Graph, coloring: VertexColoring) -> PropernessRepo
     return PropernessReport(ok=True, violation=None)
 
 
-def _shared_sides(q: QuadEmbedding, labels: Sequence[int]) -> list[tuple]:
-    """Sorted (i, j, (a, b)) triples for faces i < j that meet side
-    {a, b}, a <= b, and have equal labels; a face meeting a side more
-    than once counts once.
-
-    Each dart (face side) is keyed by its side and its face's label,
-    one int per dart. The keys are sorted rather than tabled: only a
-    key met twice can be shared, and a proper coloring, which shares
-    no key, stops after the sort. Otherwise the darts are sorted by
-    key once more to read the faces of each run of equal keys."""
+def _clashes(q: QuadEmbedding, labels: Sequence[int]) -> list[tuple]:
+    """Sorted (i, j, (a, b)) triples, i < j and a < b, for the sides
+    {a, b} whose two faces i and j have equal labels, read off the side
+    pairing of q's certified report; ColoringError if q fails to verify."""
+    sides = _certified(q).sides
+    if sides is None:
+        raise ColoringError("the quadrangulation fails verification; run verify for the report")
     corners = q.corners
-    nfaces = len(labels)
-    width = max(corners, default=0) + 1
-    base = max(labels, default=0) + 1
-    # The darts are listed side by side: entry j * nfaces + f runs from
-    # corner j of face f to corner j + 1.
-    columns = [corners[j::4] for j in range(4)]
-    darts = chain.from_iterable(zip(columns[j], columns[j - 3], labels) for j in range(4))
-    keys = [(a * width + b if a < b else b * width + a) * base + c for a, b, c in darts]
-    del columns
-    ordered = sorted(keys)
-    # Each k with ordered[k] == ordered[k + 1].
-    ties = list(compress(count(), map(eq, ordered, islice(ordered, 1, None))))
-    if not ties:
-        return []
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    del keys
     triples = []
-    stop = 0
-    for k in ties:
-        if k < stop:
-            continue
-        stop = k + 2
-        while stop < len(ordered) and ordered[stop] == ordered[k]:
-            stop += 1
-        side = divmod(ordered[k] // base, width)
-        if stop == k + 2:  # most shared keys are met by exactly two darts
-            i, j = sorted((order[k] % nfaces, order[k + 1] % nfaces))
-            if i != j:
-                triples.append((i, j, side))
-        else:
-            faces = sorted({order[x] % nfaces for x in range(k, stop)})
-            triples += [(i, j, side) for i, j in combinations(faces, 2)]
+    for d, e in zip(*sides):
+        i, j = d >> 2, e >> 2
+        if labels[i] == labels[j]:
+            a, b = corners[d], corners[_fol(d)]
+            triples.append((min(i, j), max(i, j), (min(a, b), max(a, b))))
     triples.sort()
     return triples
 
 
 def face_adjacencies(q: QuadEmbedding) -> list[tuple[int, int, tuple[int, int]]]:
-    """Pairs of distinct face indices meeting the same edge.
+    """Pairs of face indices meeting the same edge of a certified surface.
 
-    Returns (i, j, shared_edge) triples with i < j, sorted. Faces
-    meeting an edge more than twice all count pairwise.
+    Returns one (i, j, shared_edge) triple, i < j, per edge, sorted.
+    Raises ColoringError when q fails verification.
     """
-    return _shared_sides(q, [0] * (len(q.corners) // 4))
+    return _clashes(q, [0] * (len(q.corners) // 4))
 
 
 def verify_proper_faces(q: QuadEmbedding, coloring: FaceColoring) -> PropernessReport:
     """Exhaustive properness check of a face coloring.
 
-    Adjacency means sharing an edge. Raises ColoringError when some
-    face has no color; returns the violating pair with its shared edge
-    on failure, the first in face_adjacencies order.
+    Adjacency means sharing an edge of a certified surface. Raises
+    ColoringError when some face has no color or q fails verification;
+    returns the violating pair with its shared edge on failure, the
+    first in face_adjacencies order.
     """
     colors = coloring.colors
     nfaces = len(q.corners) // 4
     for fi in range(nfaces):
         if fi not in colors:
             raise ColoringError(f"face {fi} has no color")
-    clashes = _shared_sides(q, [colors[f] for f in range(nfaces)])
+    clashes = _clashes(q, [colors[f] for f in range(nfaces)])
     return PropernessReport(ok=not clashes, violation=clashes[0] if clashes else None)
 
 

@@ -13,7 +13,10 @@ maps; Lando & Zvonkin, Graphs on Surfaces and Their Applications,
 faces of the edge's own component, is a clean pair and is read in
 columns; every other side (another count, a non-edge, two darts
 running the same way, a dart in a face of another component) is read
-dart by dart in the same pass.
+dart by dart in the same pass. On a certified surface every side has
+two darts, so the pass pairs them all (the map's involution alpha);
+the report keeps that pairing and is stored on the embedding, for the
+face checks to read.
 
 The pass is lean in memory. While the sorted keys live they are its
 only list with a Python int per dart: the other per-dart columns are a
@@ -49,7 +52,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, pairwise, repeat
 from operator import eq, gt, xor
 
@@ -82,11 +85,14 @@ class ComponentReport:
 
 @dataclass(frozen=True)
 class SurfaceReport:
+    """Per-component verdicts and the (V, E, F, components) counts as
+    re-derived and as a parsed file's header claimed (None otherwise).
+    When ok, sides[0][k] and sides[1][k] are the two darts of a side."""
+
     components: tuple[ComponentReport, ...]
-    # (V, E, F, components) as re-derived from the spine and the faces,
-    # and the counts a parsed file's header claimed (None otherwise).
     counts: tuple[int, int, int, int]
     header: tuple[int, int, int, int] | None = None
+    sides: tuple[array, array] | None = field(default=None, compare=False, repr=False)
 
     @property
     def header_ok(self) -> bool:
@@ -125,6 +131,7 @@ def verify_surface(q: QuadEmbedding) -> SurfaceReport:
     the component of its first corner; faces whose first corner lies
     outside the interlacement form one more component, with no
     vertices or edges, which fails.
+    Each call certifies q and stores the report on it.
     """
     spine, corners = q.spine, q.corners
     ndarts = len(corners)
@@ -179,6 +186,7 @@ def verify_surface(q: QuadEmbedding) -> SurfaceReport:
     # and they run opposite ways when they differ in down.
     first = array("l")
     second = array("l")
+    same_way: list[int] = []
     odd: list[tuple[int, int]] = []
     cuts = compress(count(1), map(gt, map(xor, packed, islice(packed, 1, None)), repeat(down | mask)))
     for s, t in pairwise(chain((0,), cuts, (ndarts,) if ndarts else ())):
@@ -235,6 +243,8 @@ def verify_surface(q: QuadEmbedding) -> SurfaceReport:
         if edge and len(at_a) == 2:
             two_sided[ba] += 1
             constraints.append((at_a[0] >> 2, at_a[1] >> 2, forward[0] == forward[1], ba))
+        if t - s == 2:
+            same_way += (packed[s] & mask, packed[s + 1] & mask)
     del packed, odd, cuts
     pair_block = [face_block[d >> 2] for d in first]
     two_sided.update(pair_block)
@@ -289,7 +299,23 @@ def verify_surface(q: QuadEmbedding) -> SurfaceReport:
             )
         )
     counts = (2 * len(spine.vertices), 4 * len(spine.edges), nfaces, len(reports))
-    return SurfaceReport(components=tuple(reports), counts=counts, header=q.header)
+    # The test is SurfaceReport.ok, which makes every side a run of two
+    # darts. The odd runs, which then run one way, join the columns only
+    # now: _join and the flip search read them as opposite-way pairs.
+    sides = None
+    if reports and all(c.ok for c in reports) and q.header in (None, counts):
+        first.extend(same_way[0::2])
+        second.extend(same_way[1::2])
+        sides = (first, second)
+    report = SurfaceReport(components=tuple(reports), counts=counts, header=q.header, sides=sides)
+    q.__dict__["_surface_report"] = report
+    return report
+
+
+def _certified(q: QuadEmbedding) -> SurfaceReport:
+    """The report verify_surface stored on q (q is immutable), or a new one."""
+    report = q.__dict__.get("_surface_report")
+    return verify_surface(q) if report is None else report
 
 
 def _blocks(spine: Graph) -> tuple[dict[int, int], list[int], list[int]]:

@@ -4,11 +4,13 @@ All figures are on a seeded 2,000-vertex, 5,000-edge spine (40,000
 darts) and hold on Python 3.10-3.13; each bound sits halfway between
 the figure before and after the change it pins.
 
-- The two passes over every face side (dart) keep at most one list
-  with a Python int per dart: the sorted keys. ``verify_surface`` peaks
-  near 84 bytes per dart and ``verify_proper_faces`` near 55; before
-  the passes held their columns in bytearrays and machine-word arrays
-  they peaked near 185 and 108.
+- The pass over every face side (dart) keeps at most one list with a
+  Python int per dart: the sorted keys. ``verify_surface`` peaks near
+  84 bytes per dart (185 before it held its columns in bytearrays and
+  machine-word arrays). The report it stores on a certified embedding
+  keeps its side pairing, near 8.5 bytes per dart, and
+  ``verify_proper_faces`` reads that pairing and peaks near 2 on an
+  embedding already certified (55 when it sorted the darts again).
 - The parsers and the interlacement hold one int object per vertex or
   twin. ``parse_quad`` peaks near 79 bytes per dart (131 when it made
   an int per corner); ``interlace`` keeps near 130 bytes per spine edge
@@ -23,6 +25,7 @@ import tracemalloc
 import pytest
 
 from spinalquad import (
+    QuadEmbedding,
     default_rotations,
     face_coloring_from_sources,
     format_edge_list,
@@ -86,9 +89,19 @@ def spine(surface):
 def test_dart_passes_peak_bytes_per_dart(surface, call, bound):
     q, faces = surface
     args = (q,) if call is verify_surface else (q, faces)
+    # Certified before the measured call, so the face check's peak
+    # leaves out the certification that it would otherwise run.
+    assert verify_surface(q).ok
     assert call(*args).ok
     per_dart = _peak_bytes(call, *args) / len(q.corners)
     assert per_dart <= bound, f"peak of {per_dart:.1f} bytes per dart"
+
+
+def test_certified_report_retained_bytes_per_dart(surface):
+    q, _ = surface
+    fresh = QuadEmbedding(q.spine, q.corners)
+    per_dart = _retained_bytes(verify_surface, fresh) / len(q.corners)
+    assert per_dart <= 12, f"{per_dart:.1f} bytes kept per dart"
 
 
 def test_parse_quad_peak_bytes_per_dart(surface):

@@ -140,6 +140,7 @@ def test_verify_imports_no_constructor():
 
 DELETED = {
     "ChromaticEqualityReport",
+    "_shared_sides",
     "boundary_matrix",
     "chromatic_equality_check",
     "format_complex",

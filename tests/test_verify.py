@@ -5,6 +5,7 @@ import pytest
 
 from spinalquad import (
     BettiVector,
+    ColoringError,
     FaceColoring,
     Graph,
     IsolatedVertexError,
@@ -196,19 +197,44 @@ DEGENERATE = [
 ]
 
 
+REFUSAL = "^the quadrangulation fails verification; run verify for the report$"
+
+
 def _agrees_with_oracles(q: QuadEmbedding, rng: random.Random) -> bool:
-    """Assert the verdicts, the face adjacencies and the first face
-    color clash match the oracles; True when some component fails."""
+    """Assert the verdicts match the oracle, and on a certified surface
+    the face adjacencies and the first face color clash too; elsewhere
+    both face checks refuse. True when some component fails."""
     report = verify_surface(q)
     assert report.components == oracle_verify_surface(q)
-    pairs = oracle_face_adjacencies(q)
-    assert face_adjacencies(q) == pairs
     colors = {i: rng.randrange(3) for i in range(len(q.faces))}
-    clash = next((p for p in pairs if colors[p[0]] == colors[p[1]]), None)
-    assert verify_proper_faces(q, FaceColoring(colors=colors, palette=3)).violation == clash
-    alike = FaceColoring(colors=dict.fromkeys(colors, 0), palette=1)
-    assert verify_proper_faces(q, alike).violation == next(iter(pairs), None)
+    faces = FaceColoring(colors=colors, palette=3)
+    if report.ok:
+        pairs = oracle_face_adjacencies(q)
+        assert face_adjacencies(q) == pairs
+        clash = next((p for p in pairs if colors[p[0]] == colors[p[1]]), None)
+        assert verify_proper_faces(q, faces).violation == clash
+        alike = FaceColoring(colors=dict.fromkeys(colors, 0), palette=1)
+        assert verify_proper_faces(q, alike).violation == next(iter(pairs), None)
+    else:
+        with pytest.raises(ColoringError, match=REFUSAL):
+            face_adjacencies(q)
+        with pytest.raises(ColoringError, match=REFUSAL):
+            verify_proper_faces(q, faces)
     return not all(c.ok for c in report.components)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [*DEGENERATE, parse_quad(mutate_quad_text(format_quad(quadrangulate(complete_graph(3))), "delete"))],
+    ids=["one-side-face", "three-faces-on-a-side", "no-faces", "deleted-face"],
+)
+def test_face_checks_refuse_a_surface_that_fails_verification(q):
+    with pytest.raises(ColoringError, match=REFUSAL):
+        face_adjacencies(q)
+    alike = FaceColoring(colors=dict.fromkeys(range(len(q.corners) // 4), 0), palette=1)
+    with pytest.raises(ColoringError, match=REFUSAL):
+        verify_proper_faces(q, alike)
+    assert not verify_surface(q).ok
 
 
 def _variants_agree_with_oracles(text: str, rng: random.Random) -> tuple[int, int]:
@@ -359,3 +385,10 @@ def test_reversed_faces_leave_an_orientable_surface():
             assert report.hand == cycle_rank(spine)
             assert [c.genus for c in report.components] == [c.genus for c in verify_surface(q).components]
             assert report.components == oracle_verify_surface(embedding)
+            # The sides the reversed faces run the same way as their
+            # neighbours reach the face checks from the odd runs.
+            pairs = oracle_face_adjacencies(embedding)
+            assert face_adjacencies(embedding) == pairs
+            colors = {i: rng.randrange(2) for i in range(nfaces)}
+            clash = next((p for p in pairs if colors[p[0]] == colors[p[1]]), None)
+            assert verify_proper_faces(embedding, FaceColoring(colors=colors, palette=2)).violation == clash
