@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from collections import defaultdict
 from typing import Iterable, NamedTuple
 
 from .graph import Graph, ParseError, _decimal, _records, components
@@ -55,7 +56,7 @@ class SimplicialComplex:
         ts: set[Triangle] = set()
         sides: list[Edge] = []
         for t in triangles:
-            tt = tuple(sorted(operator.index(x) for x in t))
+            tt = sorted(map(operator.index, t))
             if len(tt) != 3:
                 raise ValueError(f"triangle of {len(tt)} vertex ids, not 3: {t}")
             if len(set(tt)) != 3:
@@ -108,20 +109,30 @@ def _boundary_rows(k: int, complex: SimplicialComplex) -> tuple[list[dict[int, i
     Rows are indexed by the (k-1)-simplices and columns by the
     k-simplices, both in sorted-tuple order; each row maps a column to
     its nonzero entry. The boundary of an ascending simplex drops its
-    i-th vertex with sign (-1)^i.
+    i-th vertex with sign (-1)^i, written out per simplex: edge j =
+    (a, b) puts +1 in row b and -1 in row a, and triangle j = (a, b, c)
+    puts +1 in row (b, c), -1 in row (a, c) and +1 in row (a, b). Rows
+    are looked up by the vertex itself or by the edge tuple, and a
+    complex without triangles builds no edge index.
     """
     if k == 1:
-        row_index = {(v,): i for i, v in enumerate(complex.vertices)}
+        index = {v: i for i, v in enumerate(complex.vertices)}
+        rows: list[dict[int, int]] = [{} for _ in index]
         cols = complex.edges
+        for j, (a, b) in enumerate(cols):
+            rows[index[b]][j] = 1
+            rows[index[a]][j] = -1
     elif k == 2:
-        row_index = {e: i for i, e in enumerate(complex.edges)}
-        cols = complex.triangles
+        edges, cols = complex.edges, complex.triangles
+        rows = [{} for _ in edges]
+        if cols:
+            index = {e: i for i, e in enumerate(edges)}
+            for j, (a, b, c) in enumerate(cols):
+                rows[index[b, c]][j] = 1
+                rows[index[a, c]][j] = -1
+                rows[index[a, b]][j] = 1
     else:
         raise ValueError(f"boundary operator index must be 1 or 2, got {k}")
-    rows: list[dict[int, int]] = [{} for _ in row_index]
-    for j, simplex in enumerate(cols):
-        for i in range(len(simplex)):
-            rows[row_index[simplex[:i] + simplex[i + 1 :]]][j] = -1 if i % 2 else 1
     return rows, len(cols)
 
 
@@ -131,18 +142,24 @@ def _sparse_rank(rows: list[dict[int, int]]) -> int:
     Each row maps a column to a nonzero integer; the rows are consumed.
     The shortest live row is always the pivot row. Among its +1 and -1
     entries the one whose column meets the fewest rows is the pivot
-    (least fill), and clearing that column from the other rows
-    multiplies by the pivot, its own inverse. A pivot row without a
-    unit entry pivots on its entry of least fill instead: each other row
-    is scaled by the pivot before the subtraction and then divided by
-    the gcd of its entries. Either way every entry stays an exact
-    integer, and every row taken as a pivot adds one to the rank.
+    (least fill), ties going to the lower column, and clearing that
+    column from the other rows multiplies by the pivot, its own
+    inverse. A pivot row without a unit entry pivots on its entry of
+    least fill instead: each other row is scaled by the pivot before
+    the subtraction and then divided by the gcd of its entries. Either
+    way every entry stays an exact integer, and every row taken as a
+    pivot adds one to the rank.
+
+    The pivot entry is popped from its row before the updates, so the
+    update loop walks only the other columns, and each entry it touches
+    costs one dict probe: an absent entry is filled in and its row
+    joins the column, a present one is reduced and dropped at zero.
     """
     live = {i: row for i, row in enumerate(rows) if row}
-    col_rows: dict[int, set[int]] = {}
+    col_rows: defaultdict[int, set[int]] = defaultdict(set)
     for i, row in live.items():
         for j in row:
-            col_rows.setdefault(j, set()).add(i)
+            col_rows[j].add(i)
     # Lazy heap of (row length, row id), pushed again whenever a row
     # changes, so every live row has an entry of its current length. A
     # popped entry whose row is gone or has another length is skipped;
@@ -155,13 +172,16 @@ def _sparse_rank(rows: list[dict[int, int]]) -> int:
         pivot_row = live.get(r)
         if pivot_row is None or len(pivot_row) != length:
             continue
-        units = [j for j, x in pivot_row.items() if x == 1 or x == -1]
-        c = min(units or pivot_row, key=lambda j: (len(col_rows[j]), j))
-        p = pivot_row[c]
         del live[r]
+        units = [j for j, x in pivot_row.items() if x == 1 or x == -1]
+        candidates = units or pivot_row
+        c = min(zip(map(len, map(col_rows.__getitem__, candidates)), candidates))[1]
+        p = pivot_row.pop(c)
         for j in pivot_row:
             col_rows[j].discard(r)
-        for i in col_rows.pop(c):
+        below = col_rows.pop(c)
+        below.discard(r)
+        for i in below:
             row = live[i]
             factor = row.pop(c)
             if units:
@@ -169,17 +189,19 @@ def _sparse_rank(rows: list[dict[int, int]]) -> int:
             else:
                 for j in row:
                     row[j] *= p
+            probe = row.get
             for j, x in pivot_row.items():
-                if j == c:
-                    continue
-                y = row.get(j, 0) - factor * x
-                if y:
-                    if j not in row:
-                        col_rows[j].add(i)
-                    row[j] = y
-                elif j in row:
-                    del row[j]
-                    col_rows[j].discard(i)
+                y = probe(j)
+                if y is None:
+                    row[j] = -factor * x
+                    col_rows[j].add(i)
+                else:
+                    y -= factor * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        col_rows[j].discard(i)
             if row and not units:
                 g = math.gcd(*row.values())
                 for j in row:
@@ -240,11 +262,20 @@ def parse_complex(text: str) -> SimplicialComplex:
     Each non-comment line lists 1, 2, or 3 distinct decimal ids (a
     vertex, an edge, or a triangle). The downward closure is completed
     on load. Repeated vertices within a simplex and simplices of
-    dimension greater than 2 are parse errors naming the line.
+    dimension greater than 2 are parse errors naming the line. Each
+    distinct id token is read once, on the line of its first
+    occurrence, and every later occurrence shares its int.
     """
     by_dimension: tuple[list[list[int]], ...] = ([], [], [])
+    read: dict[str, int] = {}
+    lookup = read.get
     for lineno, tokens in _records(text):
-        ids = [_decimal(tok, lineno, "vertex id") for tok in tokens]
+        ids = []
+        for tok in tokens:
+            v = lookup(tok)
+            if v is None:
+                v = read[tok] = _decimal(tok, lineno, "vertex id")
+            ids.append(v)
         if len(ids) > 3:
             raise ParseError(f"line {lineno}: simplex of dimension > 2")
         if len(set(ids)) != len(ids):

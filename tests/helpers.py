@@ -438,6 +438,45 @@ def rank_mod_2(rows: list[list[int]]) -> int:
     return len(basis)
 
 
+def grid_torus(a: int) -> SimplicialComplex:
+    """The a-by-a triangulated grid with both directions wrapped plainly
+    (a >= 3): a torus, rational Betti numbers (1, 2, 1)."""
+
+    def at(i: int, j: int) -> int:
+        return (i % a) * a + j % a
+
+    return SimplicialComplex(
+        triangles=[
+            t
+            for i in range(a)
+            for j in range(a)
+            for t in ((at(i, j), at(i + 1, j), at(i + 1, j + 1)), (at(i, j), at(i, j + 1), at(i + 1, j + 1)))
+        ]
+    )
+
+
+def suspended_sphere(length: int) -> SimplicialComplex:
+    """The suspension of a ``length``-cycle (length >= 3): the cycle on
+    0..length-1 coned off to two apexes, a sphere with rational Betti
+    numbers (1, 0, 1)."""
+    return SimplicialComplex(
+        triangles=[(apex, i, (i + 1) % length) for apex in (length, length + 1) for i in range(length)]
+    )
+
+
+def relabelled(sc: SimplicialComplex, seed: int) -> SimplicialComplex:
+    """The complex with its vertex ids sent, by a seeded injection, to
+    distinct ids drawn from a range four times its vertex count, so
+    the sorted order of the simplices changes."""
+    rng = random.Random(seed)
+    ids = dict(zip(sc.vertices, rng.sample(range(4 * len(sc.vertices)), len(sc.vertices))))
+    return SimplicialComplex(
+        vertices=ids.values(),
+        edges=[(ids[a], ids[b]) for a, b in sc.edges],
+        triangles=[(ids[a], ids[b], ids[c]) for a, b, c in sc.triangles],
+    )
+
+
 def twisted_grid_klein_bottle(a: int) -> SimplicialComplex:
     """The a-by-a triangulated grid glued into a Klein bottle (a >= 5):
     the i-direction wraps plainly and the j-direction wraps with i
