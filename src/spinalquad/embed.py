@@ -37,9 +37,10 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .graph import Graph, ParseError, _decimal, _records, components
-from .interlace import Interlacement, _tokens_of, _twin_id, interlace
+from .interlace import Interlacement, _tokens_of, _TwinIds, interlace
 
 # Cyclic neighbor order per spine vertex; each value is a permutation
 # of the vertex's neighbor tuple.
@@ -128,22 +129,31 @@ def quadrangulate(spine: Graph, rotations: RotationSystem | None = None) -> Quad
         raise IsolatedVertexError(f"vertex {isolated[0]} is isolated")
     if rotations is None:
         rotations = default_rotations(spine)
-    if set(rotations) != set(spine.vertices):
+    # Each twin id is made once, in primed or double_primed, and shared
+    # by every corner it names.
+    primed = {v: 2 * v for v in spine.vertices}
+    if rotations.keys() != primed.keys():
         missing = sorted(set(spine.vertices) - set(rotations))
         extra = sorted(set(rotations) - set(spine.vertices))
         raise RotationError(f"rotation vertices mismatch: missing {missing}, extra {extra}")
-    for v in spine.vertices:
-        if tuple(sorted(rotations[v])) != spine.neighbors(v):
-            raise RotationError(f"rotation at vertex {v} is not a permutation of its neighbors")
+    double_primed = {v: 2 * v + 1 for v in spine.vertices}
 
     # Every face of v reads (2v, 2u, 2v + 1, 2w + 1) for consecutive
-    # rotation entries (u, w), so sorting the (u, w) pairs sorts the
-    # faces by corner sequence, as encoded ids order like twin pairs.
+    # rotation entries (u, w). Encoded ids order like twin pairs and
+    # the entries of a rotation are distinct, so taking the faces in
+    # ascending u, the order of v's neighbors, sorts them by corner
+    # sequence. No face is returned unless every rotation is a
+    # permutation of its vertex's neighbors.
     corners: list[int] = []
     for v in spine.vertices:
         rot = rotations[v]
-        for u, w in sorted(zip(rot, rot[1:] + rot[:1])):
-            corners += (2 * v, 2 * u, 2 * v + 1, 2 * w + 1)
+        neighbors = spine.neighbors(v)
+        if tuple(sorted(rot)) != neighbors:
+            raise RotationError(f"rotation at vertex {v} is not a permutation of its neighbors")
+        after = dict(zip(rot, rot[1:] + rot[:1]))
+        x, y = primed[v], double_primed[v]
+        for u in neighbors:
+            corners += (x, primed[u], y, double_primed[after[u]])
     return QuadEmbedding(spine=spine, corners=tuple(corners))
 
 
@@ -178,9 +188,8 @@ def parse_quad(text: str) -> QuadEmbedding:
     """
     corners: list[int] = []
     # Each distinct twin token and each distinct ``src=`` token is
-    # validated once.
-    twin_ids: dict[str, int] = {}
-    lookup = twin_ids.get
+    # validated once; twin_ids reads a twin token on its first lookup.
+    twin_ids = _TwinIds()
     source_ids: dict[str, int] = {}
     header: tuple[int, int, int, int] | None = None
     for lineno, tokens in _records(text):
@@ -196,32 +205,35 @@ def parse_quad(text: str) -> QuadEmbedding:
             raise ParseError(
                 f"line {lineno}: expected four corner tokens followed by 'src=<id>'"
             )
-        quad = (lookup(tokens[0]), lookup(tokens[1]), lookup(tokens[2]), lookup(tokens[3]))
-        if None in quad:
-            quad = tuple(_twin_id(twin_ids, token, lineno) for token in tokens[:4])
-        corners += quad
+        twin_ids.lineno = lineno
+        x = twin_ids[tokens[0]]
+        corners += (x, twin_ids[tokens[1]], twin_ids[tokens[2]], twin_ids[tokens[3]])
         source = source_ids.get(tokens[4])
         if source is None:
             source = source_ids[tokens[4]] = _decimal(tokens[4][len("src="):], lineno, "source id")
-        if source != quad[0] >> 1:
+        if source != x >> 1:
             raise ParseError(
-                f"line {lineno}: src={source} is not {quad[0] >> 1}, the vertex of corner 0"
+                f"line {lineno}: src={source} is not {x >> 1}, the vertex of corner 0"
             )
     if header is None:
         raise ParseError("missing 'quad' header line")
 
     # The spine is rebuilt from one int per distinct twin, so no int is
-    # made per corner; the token tables are dropped first. Each dart
-    # runs from corner j to corner j + 1 of its face, so ``heads`` is
-    # the corner list shifted by one within each face. The spine pair
-    # of a dart is kept once, low end first; a dart joining the two
-    # twins of one vertex is no spine edge, so it is skipped and left
-    # for the verifier to flag. Graph checks the rest.
+    # kept per corner; the token tables are dropped first. Each dart
+    # runs from corner j to corner (j + 1) % 4 of its face, and its
+    # spine pair is kept once, as the int key (low << bits) | high; a
+    # dart joining the two twins of one vertex is no spine edge, so it
+    # is skipped and left for the verifier to flag. The keys are read
+    # back through vertices, one int per vertex. Graph checks the rest.
     vertex_of = {x: x >> 1 for x in twin_ids.values()}
-    del twin_ids, lookup, source_ids
-    ids = list(map(vertex_of.__getitem__, corners))
-    heads = ids[1:] + ids[:1]
-    heads[3::4] = ids[0::4]
-    pairs = {(u, w) if u < w else (w, u) for u, w in zip(ids, heads) if u != w}
-    del ids, heads
-    return QuadEmbedding(spine=Graph(vertex_of.values(), pairs), corners=tuple(corners), header=header)
+    del twin_ids, source_ids
+    vertices = {v: v for v in set(vertex_of.values())}
+    bits = max(vertices, default=0).bit_length()
+    it = iter(corners)
+    heads = chain.from_iterable(map(operator.itemgetter(1, 2, 3, 0), zip(it, it, it, it)))
+    ends = zip(map(vertex_of.__getitem__, corners), map(vertex_of.__getitem__, heads))
+    keys = list({u << bits | w if u < w else w << bits | u for u, w in ends if u != w})
+    del vertex_of, it, heads, ends
+    low = (1 << bits) - 1
+    pairs = ((vertices[k >> bits], vertices[k & low]) for k in keys)
+    return QuadEmbedding(spine=Graph(vertices, pairs), corners=tuple(corners), header=header)

@@ -11,7 +11,7 @@ which keeps the interlacement an ordinary Graph and sorts primarily by
 spine id. In text formats a twin is written ``<id>.0`` or ``<id>.1``:
 ``format_twin_edge_list`` writes the interlacement as a twin ``.edges``
 file, which no command reads back, and ``parse_quad`` reads the twin
-tokens of a ``.quad`` file through ``_twin_id``.
+tokens of a ``.quad`` file through a ``_TwinIds`` table.
 """
 
 from __future__ import annotations
@@ -27,17 +27,28 @@ def _tokens_of(ids: Iterable[int]) -> dict[int, str]:
     return {x: f"{x >> 1}.{x & 1}" for x in ids}
 
 
-def _twin_id(ids: dict[str, int], token: str, lineno: int) -> int:
-    """The encoded id of a twin token ``<id>.0`` or ``<id>.1``; ``ids``
-    memoises each distinct token so it is validated once."""
-    x = ids.get(token)
-    if x is not None:
-        return x
+def _twin_id(token: str, lineno: int) -> int:
+    """The encoded id of a twin token ``<id>.0`` or ``<id>.1``."""
     head, sep, tail = token.partition(".")
     if not sep or tail not in ("0", "1"):
         raise ParseError(f"line {lineno}: expected twin token '<id>.0' or '<id>.1', got {token!r}")
-    x = ids[token] = 2 * _decimal(head, lineno, "vertex id in twin token") + (tail == "1")
-    return x
+    return 2 * _decimal(head, lineno, "vertex id in twin token") + (tail == "1")
+
+
+class _TwinIds(dict):
+    """The encoded id of each twin token read so far. A token missing
+    from the table is read by ``_twin_id`` on line ``lineno``, once,
+    and every later lookup shares its int."""
+
+    __slots__ = ("lineno",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lineno = 0
+
+    def __missing__(self, token: str) -> int:
+        x = self[token] = _twin_id(token, self.lineno)
+        return x
 
 
 @dataclass(frozen=True)

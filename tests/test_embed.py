@@ -211,6 +211,21 @@ def test_parse_quad_rebuilds_spine_from_corners():
     assert format_quad(q) == text
 
 
+def test_quadrangulate_and_parse_quad_share_one_int_per_twin_and_vertex():
+    # Ids far above the interpreter's cache of small ints: every corner
+    # naming a twin is one int object, and every mention of a vertex in
+    # the parsed spine is one int object too.
+    spine = Graph(edges=[(1000 + u, 1000 + v) for u, v in complete_graph(5).edges])
+    q = quadrangulate(spine)
+    back = parse_quad(format_quad(q))
+    assert back.corners == q.corners
+    for corners in (q.corners, back.corners):
+        assert len(set(map(id, corners))) == len(set(corners)) == 10
+    g = back.spine
+    mentions = [*g.vertices, *(v for e in g.edges for v in e), *(u for v in g.vertices for u in g.neighbors(v))]
+    assert len(set(map(id, mentions))) == 5
+
+
 def test_disconnected_spine_supported():
     q = quadrangulate(Graph(edges=[(0, 1), (2, 3)]))
     assert len(q.faces) == 4

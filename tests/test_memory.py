@@ -1,20 +1,28 @@
 """Memory of the surface path, per dart and per spine edge.
 
 All figures are on a seeded 2,000-vertex, 5,000-edge spine (40,000
-darts) and hold on Python 3.10-3.13; each bound sits halfway between
+darts, past the size from which ``verify_surface`` sorts its darts in
+buckets) and hold on Python 3.10-3.13; each bound sits halfway between
 the figure before and after the change it pins.
 
-- The pass over every face side (dart) keeps at most one list with a
-  Python int per dart: the sorted keys. ``verify_surface`` peaks near
-  84 bytes per dart (185 before it held its columns in bytearrays and
-  machine-word arrays). The report it stores on a certified embedding
-  keeps its side pairing, near 8.5 bytes per dart, and
-  ``verify_proper_faces`` reads that pairing and peaks near 2 on an
-  embedding already certified (55 when it sorted the darts again).
-- The parsers and the interlacement hold one int object per vertex or
-  twin. ``parse_quad`` peaks near 79 bytes per dart (131 when it made
-  an int per corner); ``interlace`` keeps near 130 bytes per spine edge
-  (480 with its 4E edge tuples and an int per neighbour entry);
+- The pass over every face side (dart) files its packed darts in
+  arrays of machine words and sorts them one bucket at a time, so a
+  list with a Python int per dart holds about two buckets, and it walks
+  the vertex links of a clean surface over an array and a bytearray.
+  ``verify_surface`` peaks near 37 bytes per dart (84 when it sorted
+  every dart in one list, checked them against a set of every spine
+  edge and ran union-find over the corners; 185 before it held its
+  columns in bytearrays and machine-word arrays). The report it stores
+  on a certified embedding keeps its side pairing, near 8.5 bytes per
+  dart, and ``verify_proper_faces`` reads that pairing and peaks near 2
+  on an embedding already certified (55 when it sorted the darts
+  again).
+- The builder, the parsers and the interlacement hold one int object
+  per vertex or twin. ``quadrangulate`` keeps near 11 bytes per dart
+  (37 with a fresh int per corner); ``parse_quad`` peaks near 58 bytes
+  per dart (79 with a tuple per dart for the spine pairs, 131 when it
+  made an int per corner); ``interlace`` keeps near 130 bytes per spine
+  edge (480 with its 4E edge tuples and an int per neighbour entry);
   ``parse_edge_list`` keeps near 147 bytes per edge (183 with an int
   per id token).
 """
@@ -24,6 +32,7 @@ import tracemalloc
 
 import pytest
 
+import spinalquad.verify as verify_module
 from spinalquad import (
     QuadEmbedding,
     default_rotations,
@@ -81,9 +90,15 @@ def spine(surface):
     return surface[0].spine
 
 
+def test_surface_is_sorted_in_buckets(surface):
+    # The verify_surface bound measures the bucketed sort only while the
+    # surface is past the size from which it is used.
+    assert len(surface[0].corners) >= verify_module._BUCKETED
+
+
 @pytest.mark.parametrize(
     "call, bound",
-    [(verify_surface, 134), (verify_proper_faces, 81)],
+    [(verify_surface, 61), (verify_proper_faces, 81)],
     ids=["verify_surface", "verify_proper_faces"],
 )
 def test_dart_passes_peak_bytes_per_dart(surface, call, bound):
@@ -110,7 +125,14 @@ def test_parse_quad_peak_bytes_per_dart(surface):
     parsed = parse_quad(text)
     assert (parsed.spine, parsed.corners) == (q.spine, q.corners)
     per_dart = _peak_bytes(parse_quad, text) / len(q.corners)
-    assert per_dart <= 107, f"peak of {per_dart:.1f} bytes per dart"
+    assert per_dart <= 69, f"peak of {per_dart:.1f} bytes per dart"
+
+
+def test_quadrangulate_retained_bytes_per_dart(surface):
+    q, _ = surface
+    rotations = permute_rotations(default_rotations(q.spine), 1)
+    per_dart = _retained_bytes(quadrangulate, q.spine, rotations) / len(q.corners)
+    assert per_dart <= 24, f"{per_dart:.1f} bytes kept per dart"
 
 
 def test_interlace_retained_bytes_per_spine_edge(spine):

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import spinalquad.verify as verify_module
 from spinalquad import (
     BettiVector,
     ColoringError,
@@ -283,6 +284,80 @@ def test_flat_verifier_agrees_with_record_oracle_at_size(vertices):
     assert verify_surface(parse_quad(text)).hand == cycle_rank(spine)
     files, rejected = _variants_agree_with_oracles(text, rng)
     assert files == 11 and rejected >= 3
+
+
+@pytest.mark.parametrize("vertices", [300, 500])
+def test_bucketed_sort_agrees_with_record_oracle(monkeypatch, vertices):
+    # Buckets far smaller than the package's send these surfaces through
+    # the cells and their groups: the side pairing of the certified file
+    # is the one-list sort's, element for element, and every damaged
+    # file gets the oracle's verdicts.
+    rng = random.Random(vertices)
+    spine = random_spine(vertices, 2 * vertices + rng.randrange(vertices), vertices)
+    text = format_quad(quadrangulate(spine, permute_rotations(default_rotations(spine), vertices)))
+    sides = verify_surface(parse_quad(text)).sides
+    monkeypatch.setattr(verify_module, "_BUCKETED", 8)
+    monkeypatch.setattr(verify_module, "_BUCKET", 256)
+    report = verify_surface(parse_quad(text))
+    assert report.hand == cycle_rank(spine)
+    assert [list(column) for column in report.sides] == [list(column) for column in sides]
+    files, rejected = _variants_agree_with_oracles(text, rng)
+    assert files == 11 and rejected >= 3
+
+
+def test_bucketed_sort_agrees_with_record_oracle_on_small_surfaces(monkeypatch):
+    # Buckets of a few darts, so most sides sit at a bucket's edge.
+    monkeypatch.setattr(verify_module, "_BUCKETED", 8)
+    monkeypatch.setattr(verify_module, "_BUCKET", 16)
+    for seed in range(40):
+        rng = random.Random(seed)
+        spine = random_graph_no_isolated(seed, max_vertices=12)
+        text = format_quad(quadrangulate(spine, permute_rotations(default_rotations(spine), seed)))
+        assert _variants_agree_with_oracles(text, rng)[0] == 11
+    rng = random.Random(0)
+    for q in DEGENERATE:
+        _agrees_with_oracles(q, rng)
+
+
+@pytest.mark.parametrize("bucketed", [False, True], ids=["one-list", "bucketed"])
+def test_huge_ids_verify_end_to_end(monkeypatch, bucketed):
+    # Packed darts of ids near 2**70 do not fit a machine word, so even
+    # a surface past the bucketing size is sorted in one list of ints.
+    if bucketed:
+        monkeypatch.setattr(verify_module, "_BUCKETED", 8)
+    base = 2**70
+    spine = Graph(edges=[(base, base + 1), (base + 1, base + 2), (base, base + 2)])
+    text = format_quad(quadrangulate(spine))
+    report = verify_surface(parse_quad(text))
+    assert report.ok and report.hand == 1
+    for action in ("delete", "duplicate", "twinflip"):
+        assert not verify_surface(parse_quad(mutate_quad_text(text, action))).ok
+
+
+def test_orientation_search_runs_only_where_it_can_change_a_verdict(monkeypatch):
+    searched = []
+    conflicts = verify_module._conflicts
+
+    def spy(nfaces, constraints):
+        constraints = list(constraints)
+        searched.append({b for *_, b in constraints})
+        return conflicts(nfaces, constraints)
+
+    monkeypatch.setattr(verify_module, "_conflicts", spy)
+    q = quadrangulate(complete_graph(3))
+    # A twinflip leaves an edge without two sides, so the component is
+    # not orientable whatever the search would find: it is not searched.
+    flipped = parse_quad(mutate_quad_text(format_quad(q), "twinflip"))
+    component = verify_surface(flipped).components[0]
+    assert not component.edges_two_sided and not component.orientable
+    assert searched == []
+    # A face walked backwards keeps every side with two darts, two of
+    # them now running the same way: that component is searched, and
+    # flipping the face orients it.
+    c = q.corners
+    backwards = QuadEmbedding(q.spine, (c[0], c[3], c[2], c[1]) + c[4:])
+    assert verify_surface(backwards).ok
+    assert searched == [{0}]
 
 
 def test_header_only_file_fails():
